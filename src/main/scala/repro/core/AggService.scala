@@ -16,18 +16,15 @@ trait AggService {
 }
 
 /** The LMFAO engine end-to-end: plan (roots → pushdown → merge → group) and
-  * execute (multi-output, parallel) a batch.
+  * translate the plan into lazily evaluated, partly persisted DataFrames.
   *
   * @param merge      false = unshared views (AC/DC-style ablation)
-  * @param multiRoot  false = force every query to root at `forcedRootName`
-  *                   (default: largest relation), the single-root ablation
-  * @param parallel   false = sequential group execution
+  * @param multiRoot  false = force every query to root at the largest
+  *                   relation, the single-root ablation
   */
 final class LmfaoService(spark: SparkSession, tree: JoinTree, dfs: Map[String, DataFrame],
                          sizes: Map[String, Long] = Map.empty,
-                         merge: Boolean = true, multiRoot: Boolean = true,
-                         parallel: Boolean = true,
-                         forcedRootName: Option[String] = None) extends AggService {
+                         merge: Boolean = true, multiRoot: Boolean = true) extends AggService {
 
   private var last: Option[ExecResult] = None
 
@@ -35,20 +32,16 @@ final class LmfaoService(spark: SparkSession, tree: JoinTree, dfs: Map[String, D
   def planOnly(batch: Seq[AggQuery]): Plan = {
     val forced =
       if (multiRoot) None
-      else forcedRootName.orElse(Some(
-        if (sizes.nonEmpty) sizes.maxBy(_._2)._1 else tree.relations.head.name))
+      else Some(if (sizes.nonEmpty) sizes.maxBy(_._2)._1 else tree.relations.head.name)
     Planner.planBatch(tree, batch, sizes, merge = merge, forcedRoot = forced)
   }
 
   def run(batch: Seq[AggQuery]): Map[String, DataFrame] = {
     close()
-    val plan = planOnly(batch)
-    val res  = new Executor(spark, dfs, parallel = parallel).run(plan)
+    val res = new Executor(dfs).run(planOnly(batch))
     last = Some(res)
     res.outputs
   }
-
-  def lastResult: Option[ExecResult] = last
 
   override def close(): Unit = { last.foreach(_.close()); last = None }
 }

@@ -66,7 +66,7 @@ final case class Ind(a: String, op: String, v: String, numeric: Boolean = true) 
   }
   def toSql: String = {
     val lhs = if (numeric) s"CAST($a AS DOUBLE)" else a
-    val rhs = if (numeric) v else s"'$v'"
+    val rhs = if (numeric) v else s"'${v.replace("'", "''")}'"
     s"(CASE WHEN $lhs $op $rhs THEN 1.0 ELSE 0.0 END)"
   }
 }

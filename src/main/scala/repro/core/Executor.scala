@@ -1,28 +1,23 @@
 package repro.core
 
-import java.util.concurrent.Executors
-import scala.concurrent.duration.Duration
-import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.collection.mutable
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 
-/** Result of executing a plan: per-view DataFrames (shared ones persisted)
-  * and the final per-query outputs. Call [[close]] to unpersist everything.
+/** Result of executing a plan: the per-query outputs and every frame the
+  * executor persisted. Call [[close]] to unpersist everything.
   */
-final class ExecResult(val plan: Plan,
-                       val viewDfs: Map[Int, DataFrame],
-                       val outputs: Map[String, DataFrame],
-                       persisted: Seq[DataFrame]) {
+final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[DataFrame]) {
   def close(): Unit = persisted.foreach(_.unpersist(blocking = false))
 }
 
 /** The Group Views + Multi-Output Optimization + Parallelization layers
   * (§§3.4–3.5), mapped to Catalyst.
   *
-  * Views are executed group by group in dependency-depth order. Within a
-  * group (one source relation, one depth):
+  * `run` translates a plan into DataFrames and starts no Spark job. Each
+  * view is built on first use, children first:
   *
   *  - each distinct *body* — the relation natural-joined with one set of
   *    incoming views — is built once and cached when used by more than one
@@ -35,12 +30,12 @@ final class ExecResult(val plan: Plan,
   *  - merge case (1): a view whose aggregates have different bodies is the
   *    join of its per-body partials on the (identical) group-by attributes.
   *
-  * Groups of one depth level never depend on each other and are submitted
-  * concurrently (`parallel = true`), giving task parallelism on top of
-  * Spark's partition parallelism.
+  * Shared views and bases are persisted but not forced: the first job that
+  * reads one fills Spark's cache, and later jobs read the cached blocks.
+  * The view groups of [[Plan.groups]] are a planning statistic (Table 2's
+  * G); parallelism is Spark's partition parallelism within each job.
   */
-final class Executor(spark: SparkSession, dfs: Map[String, DataFrame],
-                     parallel: Boolean = true) {
+final class Executor(dfs: Map[String, DataFrame]) {
 
   /** Natural join on the common column names (cross join if none). */
   def natJoin(a: DataFrame, b: DataFrame): DataFrame = {
@@ -56,10 +51,8 @@ final class Executor(spark: SparkSession, dfs: Map[String, DataFrame],
   }
 
   def run(plan: Plan): ExecResult = {
-    val viewDfs = scala.collection.concurrent.TrieMap[Int, DataFrame]()
-
     // Sharing analysis: a view consumed by more than one other view (or by a
-    // consumer *and* the application) is materialized — that is exactly the
+    // consumer *and* the application) is persisted — that is exactly the
     // computation LMFAO shares. Single-consumer views stay lazy and fuse
     // into their consumer's Catalyst plan (the paper's code inlining).
     val consumerCount: Map[Int, Int] =
@@ -76,16 +69,19 @@ final class Executor(spark: SparkSession, dfs: Map[String, DataFrame],
       plan.views.flatMap(v => v.aggs.map(_.signature).distinct.map(sig => (v.from, sig)))
         .groupBy(identity).view.mapValues(_.size).toMap
 
-    val baseCache = scala.collection.concurrent.TrieMap[(String, Seq[Int]), DataFrame]()
-    val persistedBases = scala.collection.concurrent.TrieMap[DataFrame, Unit]()
+    val persisted = mutable.ArrayBuffer[DataFrame]()
+    def persist(df: DataFrame): DataFrame = {
+      val p = df.persist(StorageLevel.MEMORY_AND_DISK)
+      persisted += p; p
+    }
+
+    val bases = mutable.Map[(String, Seq[Int]), DataFrame]()
+    val views = mutable.Map[Int, DataFrame]()
 
     def baseFor(from: String, sig: Seq[Int]): DataFrame =
-      baseCache.getOrElseUpdate((from, sig), {
-        val b = sig.foldLeft(dfs(from))((acc, vid) => natJoin(acc, viewDfs(vid)))
-        if (bodyUse.getOrElse((from, sig), 0) > 1 && sig.nonEmpty) {
-          val p = b.persist(StorageLevel.MEMORY_AND_DISK)
-          persistedBases.put(p, ()); p
-        } else b
+      bases.getOrElseUpdate((from, sig), {
+        val b = sig.foldLeft(dfs(from))((acc, vid) => natJoin(acc, view(vid)))
+        if (bodyUse.getOrElse((from, sig), 0) > 1 && sig.nonEmpty) persist(b) else b
       })
 
     def compute(v: ViewSpec): DataFrame = {
@@ -101,44 +97,21 @@ final class Executor(spark: SparkSession, dfs: Map[String, DataFrame],
       }
     }
 
-    val persistedViews = scala.collection.concurrent.TrieMap[DataFrame, Unit]()
-    val levels = plan.groups.groupBy(_._1._2).toSeq.sortBy(_._1)
-    val pool   = Executors.newFixedThreadPool(math.min(8, Runtime.getRuntime.availableProcessors()))
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
-    try {
-      for ((_, groupsAtLevel) <- levels) {
-        // Build every view's DataFrame; only shared views are persisted and
-        // forced now (in parallel across the level's independent groups).
-        val toForce = scala.collection.mutable.ArrayBuffer[Seq[DataFrame]]()
-        for ((_, viewIds) <- groupsAtLevel) {
-          val forced = viewIds.flatMap { id =>
-            val df0 = compute(plan.views(id))
-            if (shouldPersist(id)) {
-              val df = df0.persist(StorageLevel.MEMORY_AND_DISK)
-              persistedViews.put(df, ())
-              viewDfs.put(id, df)
-              Some(df)
-            } else { viewDfs.put(id, df0); None }
-          }
-          if (forced.nonEmpty) toForce += forced
-        }
-        if (parallel && toForce.size > 1) {
-          val fs = toForce.map(dfs0 => Future(dfs0.foreach(_.count())))
-          Await.result(Future.sequence(fs.toSeq), Duration.Inf)
-        } else toForce.foreach(_.foreach(_.count()))
-      }
-    } finally pool.shutdown()
+    // Planner ids are not in dependency order, so views are built by
+    // recursion from the outputs rather than by a pass over the ids.
+    def view(id: Int): DataFrame = views.getOrElseUpdate(id, {
+      val df = compute(plan.views(id))
+      if (shouldPersist(id)) persist(df) else df
+    })
 
     val outputs = plan.outputs.map { o =>
-      val df = viewDfs(o.view)
       val cols = o.query.groupBy.map(col) ++
         o.aggNames.map { case (qName, vName) => col(aggColName(o.view, vName)).as(qName) }
-      o.query.name -> df.select(cols: _*)
+      o.query.name -> view(o.view).select(cols: _*)
     }.toMap
 
-    // Bases stay cached until close(): lazy (unpersisted) views still
-    // reference them from the application's output actions.
-    new ExecResult(plan, viewDfs.toMap, outputs,
-      (persistedBases.keys ++ persistedViews.keys).toSeq)
+    // Everything persisted stays cached until close(): the application's
+    // output actions are what fill and read it.
+    new ExecResult(outputs, persisted.toSeq)
   }
 }

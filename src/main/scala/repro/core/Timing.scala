@@ -1,6 +1,6 @@
 package repro.core
 
-/** Wall-clock helpers for the benchmark suites. */
+/** Wall-clock helper for the benchmark suites. */
 object Timing {
   /** Run `body`, return (result, seconds). */
   def timed[A](body: => A): (A, Double) = {
@@ -8,15 +8,4 @@ object Timing {
     val r  = body
     (r, (System.nanoTime() - t0) / 1e9)
   }
-
-  /** Median of `n` timed runs (first run is a discarded warm-up when
-    * `warmup`), mirroring the paper's warm-cache averaging.
-    */
-  def timedMedian(n: Int, warmup: Boolean = false)(body: => Unit): Double = {
-    if (warmup) body
-    val ts = (1 to n).map { _ => timed(body)._2 }.sorted
-    ts(ts.size / 2)
-  }
-
-  def fmt(s: Double): String = f"$s%.2f"
 }

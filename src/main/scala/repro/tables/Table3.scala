@@ -62,24 +62,22 @@ object Table3 {
     }
 
   /** Figure 5-style ablation on one dataset: covar-matrix time with layers
-    * switched off (single root / no merging / sequential groups).
+    * switched off (single root / no merging).
     */
   def ablation(spark: SparkSession, ds: SchemaDataset, sf: Double = Workloads.benchSf)
       : Seq[(String, Double)] = {
     val (dfs, sizes) = Workloads.loadPersisted(spark, ds, sf)
     val batch = Workloads.covarBatch(ds)
-    def run(tag: String, merge: Boolean, multiRoot: Boolean, parallel: Boolean): (String, Double) = {
-      val svc = new LmfaoService(spark, ds.tree, dfs, sizes, merge = merge,
-        multiRoot = multiRoot, parallel = parallel)
+    def run(tag: String, merge: Boolean, multiRoot: Boolean): (String, Double) = {
+      val svc = new LmfaoService(spark, ds.tree, dfs, sizes, merge = merge, multiRoot = multiRoot)
       val (_, t) = Timing.timed { Workloads.drain(svc.run(batch)) }
       svc.close()
       tag -> t
     }
     val rows = Seq(
-      run("unshared (AC/DC proxy)", merge = false, multiRoot = false, parallel = false),
-      run("+merging",               merge = true,  multiRoot = false, parallel = false),
-      run("+multi-root",            merge = true,  multiRoot = true,  parallel = false),
-      run("+parallel (full LMFAO)", merge = true,  multiRoot = true,  parallel = true),
+      run("unshared (AC/DC proxy)",   merge = false, multiRoot = false),
+      run("+merging",                 merge = true,  multiRoot = false),
+      run("+multi-root (full LMFAO)", merge = true,  multiRoot = true),
     )
     dfs.values.foreach(_.unpersist(blocking = false))
     rows

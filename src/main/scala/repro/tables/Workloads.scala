@@ -105,7 +105,8 @@ object Workloads {
 
   /** Force full evaluation of a batch result (collect the small aggregate
     * outputs, as an application would). Outputs are independent Spark jobs
-    * and are drained concurrently, mirroring the engine's task parallelism.
+    * and are drained concurrently; a shared view is filled by the first job
+    * that reads it.
     */
   def drain(out: Map[String, DataFrame]): Long = {
     import java.util.concurrent.Executors

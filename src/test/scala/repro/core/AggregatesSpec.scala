@@ -118,6 +118,15 @@ class AggregatesSpec extends SparkSpec {
     Oracle.assertEquivalent(out, s"SELECT SUM(${agg.productSql}) AS a FROM t", "t" -> df)
   }
 
+  test("oracle: categorical indicator on a value containing a quote") {
+    import spark.implicits._
+    val names = Seq("o'neil", "oneil", "o'neil", "o''neil").toDF("c")
+    val agg = NamedAgg("a", Seq(Ind("c", "=", "o'neil", numeric = false)))
+    val out = names.agg(sum(agg.productCol).as("a"))
+    assert(out.collect()(0).getDouble(0) == 2.0)
+    Oracle.assertEquivalent(out, s"SELECT SUM(${agg.productSql}) AS a FROM t", "t" -> names)
+  }
+
   test("property: Ind numeric thresholds agree with filter-count (ScalaCheck)") {
     val cases = samples(Gen.zip(Gen.choose(-2, 15), Gen.oneOf("<", "<=", ">", ">=", "=", "<>")), 20)
     for ((t, op) <- cases) {

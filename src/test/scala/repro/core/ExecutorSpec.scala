@@ -66,10 +66,11 @@ class ExecutorSpec extends SparkSpec {
     }
 
     test(s"${ds.name}: ablation configs (single-root, unmerged, sequential) agree with default") {
+      // The executor has a single, sequential code path; the default service
+      // above already runs it.
       val configs = Seq(
         new LmfaoService(spark, ds.tree, dfs, sizes, multiRoot = false),
         new LmfaoService(spark, ds.tree, dfs, sizes, merge = false),
-        new LmfaoService(spark, ds.tree, dfs, sizes, parallel = false),
       )
       val sample = batch.take(3)
       val expected = sample.map(q => q.name ->
@@ -165,12 +166,80 @@ class ExecutorSpec extends SparkSpec {
     val q = AggQuery("w", Seq("k"), Seq(NamedAgg("s1", Nil), NamedAgg("s2", Nil)))
     val plan = Plan(t, IndexedSeq(vB, vC, out),
       Seq(OutputSpec(q, 2, Seq("s1" -> "a0", "s2" -> "a1"))), Map("w" -> "A"))
-    val res = new Executor(spark, dfs).run(plan)
+    val res = new Executor(dfs).run(plan)
     val got = res.outputs("w").collect().map(r => (r.getInt(0), r.getDouble(1), r.getDouble(2)))
       .sortBy(_._1).toSeq
     // k=1: x=2, SUM(y)=30, SUM(z)=5 → (60, 10); k=2: x=3, SUM(y)=30, SUM(z)=13 → (90, 39)
     assert(got == Seq((1, 60.0, 10.0), (2, 90.0, 39.0)))
     res.close()
+  }
+
+  /** Runs `body` and returns its result with the number of Spark jobs it
+    * started. A marker job is run afterwards: listener events arrive in
+    * order, so once the marker's start is seen every job of `body` has been.
+    */
+  def jobsStartedBy[A](body: => A): (A, Int) = {
+    import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+    import scala.jdk.CollectionConverters._
+    val sc   = spark.sparkContext
+    val key  = "repro.test.phase"
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(key))).foreach(seen.add)
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(key, "body")
+      val r = try body finally sc.setLocalProperty(key, "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(key, null)
+      val deadline = System.nanoTime() + 60L * 1000 * 1000 * 1000
+      while (!seen.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(seen.contains("marker"), "the listener never saw the marker job")
+      (r, seen.asScala.count(_ == "body"))
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("run starts no Spark job; shared views stay persisted until close()") {
+    import org.apache.spark.storage.StorageLevel
+    import spark.implicits._
+    // A planned batch over a real schema: building it must not start a job.
+    val ds   = Retailer
+    val dfs0 = TestData.dfs(ds, spark)
+    val plan0 = new LmfaoService(spark, ds.tree, dfs0, TestData.sizes(ds, spark))
+      .planOnly(representativeBatch(ds))
+    val (res0, jobs0) = jobsStartedBy(new Executor(dfs0).run(plan0))
+    assert(jobs0 == 0, s"${ds.name}: run started $jobs0 Spark jobs")
+    assert(res0.persisted.nonEmpty)
+    res0.close()
+    assert(res0.persisted.forall(_.storageLevel == StorageLevel.NONE))
+
+    // A hand-built plan with exactly one shared view: V_B feeds the view at A
+    // and is also an output.
+    val t = JoinTree(Seq(Relation("A", Seq("k", "x")), Relation("B", Seq("k", "y"))), Seq("A" -> "B"))
+    val dfs = Map(
+      "A" -> Seq((1, 2), (2, 3)).toDF("k", "x"),
+      "B" -> Seq((1, 10), (1, 20), (2, 30)).toDF("k", "y"))
+    val vB = new ViewSpec(0, "B", Some("A"), Seq("k"))
+    vB.aggs += ViewAgg("a0", Seq(Att("y")), Seq.empty)
+    val vA = new ViewSpec(1, "A", None, Seq("k"))
+    vA.aggs += ViewAgg("a0", Seq(Att("x")), Seq(AggRef(0, "a0")))
+    val qA = AggQuery("wa", Seq("k"), Seq(NamedAgg("s", Nil)))
+    val qB = AggQuery("wb", Seq("k"), Seq(NamedAgg("s", Nil)))
+    val plan = Plan(t, IndexedSeq(vB, vA),
+      Seq(OutputSpec(qA, 1, Seq("s" -> "a0")), OutputSpec(qB, 0, Seq("s" -> "a0"))),
+      Map("wa" -> "A", "wb" -> "B"))
+    val (res, jobs) = jobsStartedBy(new Executor(dfs).run(plan))
+    assert(jobs == 0, s"run started $jobs Spark jobs")
+    assert(res.persisted.map(_.columns.toSeq) == Seq(Seq("k", "v0_a0")))
+    val shared = res.persisted.head
+    assert(shared.storageLevel != StorageLevel.NONE)
+    def rows(q: String) = res.outputs(q).collect().map(r => (r.getInt(0), r.getDouble(1))).sortBy(_._1).toSeq
+    assert(rows("wb") == Seq((1, 30.0), (2, 30.0)))
+    assert(rows("wa") == Seq((1, 60.0), (2, 90.0)))
+    assert(shared.storageLevel != StorageLevel.NONE)
+    res.close()
+    assert(shared.storageLevel == StorageLevel.NONE)
   }
 
   test("multiple aggregates over one view keep independent columns") {
