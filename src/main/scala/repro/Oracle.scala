@@ -1,8 +1,7 @@
 package repro
 
-import java.sql.DriverManager
+import java.sql.{Connection, DriverManager}
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
 import scala.math.Ordering.Implicits.seqOrdering
 
 /** DuckDB correctness oracle.
@@ -18,6 +17,10 @@ import scala.math.Ordering.Implicits.seqOrdering
   */
 object Oracle {
 
+  /** Doubles compare to 12 significant digits: that absorbs the rounding
+    * left by the engines' different summation orders, while a larger
+    * difference shows at any magnitude.
+    */
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf)
@@ -25,16 +28,20 @@ object Oracle {
       .map(r => idx.map { i =>
         r.get(i) match {
           case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
+          case d: Double            => f"$d%.12g"
+          case f: Float             => f"${f.toDouble}%.12g"
+          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.12g"
           case x                    => x.toString
         }
       })
       .sorted
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  /** A fresh in-memory DuckDB holding `tables`, every column as VARCHAR
+    * (the SQL renderings of [[repro.core.Fx]] cast where they compute).
+    * Collects each table once: keep them small.
+    */
+  def connect(tables: (String, DataFrame)*): Connection = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -43,7 +50,6 @@ object Oracle {
         conn.createStatement.execute(
           s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
         )
-        // Collect once; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
           s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
         )
@@ -53,14 +59,29 @@ object Oracle {
         }
         ps.executeBatch(); ps.close()
       }
-      val rs   = conn.createStatement.executeQuery(sql)
-      val meta = rs.getMetaData
-      val dCols = (1 to meta.getColumnCount).map(meta.getColumnLabel)
-      val dRows = Iterator
+      conn
+    } catch { case e: Throwable => conn.close(); throw e }
+  }
+
+  /** Runs `sql`; returns the column labels and the rows. */
+  def query(conn: Connection, sql: String): (Seq[String], Seq[Row]) = {
+    val st = conn.createStatement
+    try {
+      val rs   = st.executeQuery(sql)
+      val cols = (1 to rs.getMetaData.getColumnCount).map(rs.getMetaData.getColumnLabel)
+      val rows = Iterator
         .continually(rs)
         .takeWhile(_.next())
-        .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
-        .toSeq
+        .map(r => Row.fromSeq((1 to cols.size).map(r.getObject)))
+        .toList
+      (cols, rows)
+    } finally st.close()
+  }
+
+  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val conn = connect(tables: _*)
+    try {
+      val (dCols, dRows) = query(conn, sql)
       val sCols = sparkDf.columns.toSeq
       require(
         dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,

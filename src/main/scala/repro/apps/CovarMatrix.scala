@@ -1,6 +1,6 @@
 package repro.apps
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** The covar-matrix workload (§2, eqs. 2–4): the non-centered covariance
@@ -100,44 +100,22 @@ object CovarMatrix {
 
   /** Assemble service outputs (small aggregate tables) into a [[Covar]]. */
   def collect(out: Map[String, DataFrame], cont: Seq[String], cat: Seq[String]): Covar = {
-    def d(r: Row, i: Int): Double = r.get(i) match {
-      case null                => 0.0
-      case x: java.lang.Number => x.doubleValue()
-      case x                   => x.toString.toDouble
-    }
-    val scalarDf = out(ScalarQ)
-    val sCols    = scalarDf.columns
-    val sRow     = scalarDf.collect()(0)
-    def sv(name: String): Double = d(sRow, sCols.indexOf(name))
-
-    val moments = cont.map(c => c -> sv(momentName(c))).toMap
+    val sums = new BatchOutput(out(ScalarQ))
+    val moments = cont.map(c => c -> sums.scalar(momentName(c))).toMap
     val prods = (for (i <- cont.indices; j <- i until cont.size)
-      yield (cont(i), cont(j)) -> sv(prodName(cont(i), cont(j)))).toMap
+      yield (cont(i), cont(j)) -> sums.scalar(prodName(cont(i), cont(j)))).toMap
 
-    val catCnt     = scala.collection.mutable.Map[String, Map[String, Double]]()
-    val catMoments = scala.collection.mutable.Map[String, Map[(String, String), Double]]()
-    for (k <- cat) {
-      val df   = out(catQ(k))
-      val cols = df.columns
-      val rows = df.collect()
-      val ki   = cols.indexOf(k)
-      catCnt(k) = rows.map(r => r.get(ki).toString -> d(r, cols.indexOf("cnt"))).toMap
-      catMoments(k) = rows.flatMap { r =>
-        val v = r.get(ki).toString
-        cont.map(c => (v, c) -> d(r, cols.indexOf(momentName(c))))
-      }.toMap
+    val perCat = cat.map(k => k -> new BatchOutput(out(catQ(k)))).toMap
+    val catCnt = perCat.map { case (k, o) => k -> o.rows.map(r => o.key(r, k) -> o.num(r, "cnt")).toMap }
+    val catMoments = perCat.map { case (k, o) =>
+      k -> o.rows.flatMap(r => cont.map(c => (o.key(r, k), c) -> o.num(r, momentName(c)))).toMap
     }
     val catPairCnt = (for (i <- cat.indices; j <- (i + 1) until cat.size) yield {
       val (k1, k2) = (cat(i), cat(j))
-      val df   = out(catPairQ(k1, k2))
-      val cols = df.columns
-      val rows = df.collect()
-      (k1, k2) -> rows.map { r =>
-        (r.get(cols.indexOf(k1)).toString, r.get(cols.indexOf(k2)).toString) ->
-          d(r, cols.indexOf("cnt"))
-      }.toMap
+      val o = new BatchOutput(out(catPairQ(k1, k2)))
+      (k1, k2) -> o.rows.map(r => (o.key(r, k1), o.key(r, k2)) -> o.num(r, "cnt")).toMap
     }).toMap
 
-    Covar(cont, cat, sv("cnt"), moments, prods, catCnt.toMap, catMoments.toMap, catPairCnt)
+    Covar(cont, cat, sums.scalar("cnt"), moments, prods, catCnt, catMoments, catPairCnt)
   }
 }

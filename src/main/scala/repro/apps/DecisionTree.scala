@@ -7,13 +7,16 @@ import repro.core._
 /** CART decision trees (§2 eqs. 8–10, §4.2) driven entirely by aggregate
   * batches over the join — no training-set materialization.
   *
-  * Each tree level issues ONE batch covering every open node:
+  * CART expands one node at a time, and each expanded node issues ONE batch
+  * (the paper's "regression tree node" workload):
   *  - regression (variance cost): COUNT/SUM(y)/SUM(y²) under the node's
   *    ancestor-condition product α, for the node total and for every
   *    candidate continuous threshold (scalar queries), plus one group-by
   *    query per categorical attribute (eq. 8 extended with a group-by);
   *  - classification (Gini): class-frequency counts, i.e. the same shape
   *    grouped by the label (eqs. 9–10).
+  * The root's totals come from its own batch; every other node's from its
+  * parent's split, so a node that is not expanded runs no batch.
   *
   * The candidate conditions change between iterations with the data — the
   * paper's *dynamic functions*. Here each iteration plans fresh literal
@@ -37,15 +40,42 @@ object DecisionTree {
       if (isCat) s"$attr = $value" else s"$attr <= $threshold"
   }
 
-  /** A tree node. `prediction` is the mean label (regression) or the
-    * majority class (classification); `cost` the node's impurity
-    * (total squared error, or n·Gini).
+  /** Label statistics of a set of rows: under the key `""` the vector
+    * (count, Σy, Σy²) for regression, per class the vector (count) for
+    * classification.
     */
-  final class Node(val id: Int, val depth: Int, val conds: Seq[Fx],
-                   val count: Double, val prediction: String, val cost: Double) {
+  final case class Stats(byClass: Map[String, Vector[Double]]) {
+    def count: Double = byClass.values.map(_.head).sum
+
+    /** Impurity: total squared error Σy² − (Σy)²/n (the paper's variance
+      * cost), or n·Gini = n − Σ n_k²/n.
+      */
+    def cost: Double = byClass.get("") match {
+      case Some(Vector(c, s, q)) => if (c <= 0) 0.0 else q - s * s / c
+      case _ =>
+        val n = count
+        if (n <= 0) 0.0 else n - byClass.values.map(v => v.head * v.head).sum / n
+    }
+
+    /** The mean label, or the majority class (ties to the smaller name). */
+    def prediction: String = byClass.get("") match {
+      case Some(Vector(c, s, _)) => (s / c).toString
+      case _                     => byClass.toSeq.sortBy(_._1).maxBy(_._2.head)._1
+    }
+
+    def -(o: Stats): Stats = Stats(byClass.map { case (k, v) =>
+      k -> o.byClass.get(k).fold(v)(w => v.lazyZip(w).map(_ - _))
+    })
+  }
+
+  /** A tree node with the label statistics of the rows it holds. */
+  final class Node(val id: Int, val depth: Int, val conds: Seq[Fx], val stats: Stats) {
     var split: Option[Split] = None
     var left: Option[Node]   = None
     var right: Option[Node]  = None
+    def count: Double = stats.count
+    def prediction: String = stats.prediction
+    def cost: Double = stats.cost
     def isLeaf: Boolean = split.isEmpty
     def nodes: Seq[Node] = this +: (left.toSeq ++ right.toSeq).flatMap(_.nodes)
   }
@@ -82,196 +112,96 @@ object DecisionTree {
     }
   }
 
-  /** Build the aggregate batch for one level of open nodes.
+  /** Aggregate-name suffixes of one label statistic: count, Σy, Σy². */
+  private def statSuffixes(classification: Boolean): Seq[String] =
+    if (classification) Seq("_c") else Seq("_c", "_s", "_q")
+
+  /** Build the aggregate batch for open nodes, given as (id, conditions).
     * Returns the queries; result decoding is keyed by the naming scheme
     * `t_<node>` (totals) and `l_<node>_<attrIdx>_<thresholdIdx>` (left side
     * of each candidate continuous split).
     */
-  def levelBatch(nodes: Seq[Node], cont: Seq[String], cat: Seq[String], label: String,
+  def levelBatch(nodes: Seq[(Int, Seq[Fx])], cont: Seq[String], cat: Seq[String], label: String,
                  classification: Boolean, thresholds: Map[String, Seq[Double]],
                  level: Int): Seq[AggQuery] = {
     def withLabel(p: Seq[Fx]): Seq[Seq[Fx]] =
       if (classification) Seq(p)
       else Seq(p, p :+ Att(label), p :+ Pow(label, 2))
-    def names(prefix: String): Seq[String] =
-      if (classification) Seq(s"${prefix}_c") else Seq(s"${prefix}_c", s"${prefix}_s", s"${prefix}_q")
+    def stat(prefix: String, p: Seq[Fx]): Seq[NamedAgg] =
+      statSuffixes(classification).map(prefix + _).zip(withLabel(p)).map { case (nm, f) => NamedAgg(nm, f) }
 
     val gbMain = if (classification) Seq(label) else Seq.empty[String]
-    val mainAggs = nodes.flatMap { n =>
-      val tot = names(s"t_${n.id}").zip(withLabel(n.conds)).map { case (nm, p) => NamedAgg(nm, p) }
+    val mainAggs = nodes.flatMap { case (id, conds) =>
       val conts = for {
         (a, ai) <- cont.zipWithIndex
         (t, ti) <- thresholds(a).zipWithIndex
-        (nm, p) <- names(s"l_${n.id}_${ai}_$ti").zip(withLabel(n.conds :+ Ind(a, "<=", t.toString)))
-      } yield NamedAgg(nm, p)
-      tot ++ conts
+        agg     <- stat(s"l_${id}_${ai}_$ti", conds :+ Ind(a, "<=", t.toString))
+      } yield agg
+      stat(s"t_$id", conds) ++ conts
     }
     val main = AggQuery(s"dt_main_$level", gbMain, mainAggs)
     val perCat = cat.map { k =>
-      val gb = if (classification) Seq(k, label) else Seq(k)
-      AggQuery(s"dt_cat_${k}_$level", gb,
-        nodes.flatMap(n => names(s"t_${n.id}").zip(withLabel(n.conds))
-          .map { case (nm, p) => NamedAgg(nm, p) }))
+      AggQuery(s"dt_cat_${k}_$level", k +: gbMain,
+        nodes.flatMap { case (id, conds) => stat(s"t_$id", conds) })
     }
     main +: perCat
-  }
-
-  /** Regression impurity from (count, sum, sumsq): total squared error
-    * Σy² − (Σy)²/n (the paper's variance cost).
-    */
-  private def varCost(c: Double, s: Double, q: Double): Double =
-    if (c <= 0) 0.0 else q - s * s / c
-
-  /** Classification impurity from per-class counts: n·Gini = n − Σ n_k²/n. */
-  private def giniCost(byClass: Map[String, Double]): Double = {
-    val n = byClass.values.sum
-    if (n <= 0) 0.0 else n - byClass.values.map(x => x * x).sum / n
   }
 
   /** Train a CART tree against an arbitrary aggregate service. */
   def train(service: AggService, cont: Seq[String], cat: Seq[String], label: String,
             classification: Boolean, thresholds: Map[String, Seq[Double]],
             params: Params = Params()): Tree = {
-    def d(r: Row, i: Int): Double = r.get(i) match {
-      case null                => 0.0
-      case x: java.lang.Number => x.doubleValue()
-      case x                   => x.toString.toDouble
-    }
+    val suffixes = statSuffixes(classification)
 
-    var nextId = 0
-    def mkNode(depth: Int, conds: Seq[Fx], count: Double, pred: String, cost: Double): Node = {
-      val n = new Node(nextId, depth, conds, count, pred, cost); nextId += 1; n
-    }
+    /** The label statistic `prefix` summed over `rows`, per class. */
+    def stats(o: BatchOutput, rows: Seq[Row], prefix: String): Stats = Stats(rows.map { r =>
+      (if (classification) o.key(r, label) else "") -> suffixes.map(sx => o.num(r, prefix + sx)).toVector
+    }.toMap)
 
-    // Root statistics from a tiny bootstrap batch.
-    val rootStats: (Double, String, Double) = {
-      val q =
-        if (classification) AggQuery("boot", Seq(label), Seq(NamedAgg("c", Seq.empty)))
-        else AggQuery("boot", Seq.empty, Seq(NamedAgg("c", Seq.empty),
-          NamedAgg("s", Seq(Att(label))), NamedAgg("q", Seq(Pow(label, 2)))))
-      val df = service.run(Seq(q))("boot")
-      if (classification) {
-        val rows = df.collect()
-        val by = rows.map(r => r.get(0).toString -> d(r, 1)).toMap
-        val n = by.values.sum
-        (n, by.maxBy(_._2)._1, giniCost(by))
-      } else {
-        val r = df.collect()(0)
-        val (c, s, q2) = (d(r, 0), d(r, 1), d(r, 2))
-        (c, (s / c).toString, varCost(c, s, q2))
-      }
-    }
-
-    val root = mkNode(0, Seq.empty, rootStats._1, rootStats._2, rootStats._3)
-    // CART expands one node per iteration (§2): each node issues its own
-    // batch — the paper's "regression tree node" workload — whose dynamic
-    // condition functions depend on the splits chosen so far.
-    val queue = scala.collection.mutable.Queue(root)
-    var level = 0
-
-    while (queue.nonEmpty) {
-      val n0 = queue.dequeue()
-      if (n0.depth < params.maxDepth && n0.count >= params.minSplit && n0.cost > 1e-9) {
-        val expandable = Seq(n0)
-        val batch = levelBatch(expandable, cont, cat, label, classification, thresholds, level)
-        val out = service.run(batch)
-
-        // ---- decode the main (continuous + totals) query ----
-        val mainDf   = out(s"dt_main_$level")
-        val mainCols = mainDf.columns
-        val mainRows = mainDf.collect()
-        // classification: per-class rows; regression: single row
-        def mainVal(agg: String, cls: String = ""): Double =
-          if (classification)
-            mainRows.find(_.get(0).toString == cls).map(r => d(r, mainCols.indexOf(agg))).getOrElse(0.0)
-          else d(mainRows(0), mainCols.indexOf(agg))
-        val classes: Seq[String] =
-          if (classification) mainRows.map(_.get(0).toString).toSeq.distinct.sorted else Seq.empty
-
-        // ---- decode per-categorical queries ----
-        val catRows: Map[String, (Array[String], Array[Row])] = cat.map { k =>
-          val df = out(s"dt_cat_${k}_$level")
-          k -> (df.columns, df.collect())
-        }.toMap
-
-        for (n <- expandable) {
-          // totals
-          val (totCost, totByClass, totC, totS, totQ) =
-            if (classification) {
-              val by = classes.map(c => c -> mainVal(s"t_${n.id}_c", c)).toMap
-              (giniCost(by), by, by.values.sum, 0.0, 0.0)
-            } else {
-              val c = mainVal(s"t_${n.id}_c"); val s = mainVal(s"t_${n.id}_s"); val q = mainVal(s"t_${n.id}_q")
-              (varCost(c, s, q), Map.empty[String, Double], c, s, q)
-            }
-
-          var best: Option[(Split, Double, // cost
-            (Double, Double, Double, Map[String, Double]),   // left  c,s,q,byClass
-            (Double, Double, Double, Map[String, Double]))] = None  // right
-
-          def consider(split: Split, lc: Double, ls: Double, lq: Double,
-                       lBy: Map[String, Double]): Unit = {
-            val (rc, rs, rq) = (totC - lc, totS - ls, totQ - lq)
-            val rBy = if (classification) totByClass.map { case (k2, v) => k2 -> (v - lBy.getOrElse(k2, 0.0)) }
-                      else Map.empty[String, Double]
-            if (lc >= 1 && rc >= 1) {
-              val cost =
-                if (classification) giniCost(lBy) + giniCost(rBy)
-                else varCost(lc, ls, lq) + varCost(rc, rs, rq)
-              if (best.forall(cost < _._2 - 1e-12))
-                best = Some((split, cost, (lc, ls, lq, lBy), (rc, rs, rq, rBy)))
-            }
-          }
-
-          for ((a, ai) <- cont.zipWithIndex; (t, ti) <- thresholds(a).zipWithIndex) {
-            if (classification) {
-              val by = classes.map(c => c -> mainVal(s"l_${n.id}_${ai}_${ti}_c", c)).toMap
-              consider(Split(a, isCat = false, "", t), by.values.sum, 0.0, 0.0, by)
-            } else {
-              val lc = mainVal(s"l_${n.id}_${ai}_${ti}_c")
-              val ls = mainVal(s"l_${n.id}_${ai}_${ti}_s")
-              val lq = mainVal(s"l_${n.id}_${ai}_${ti}_q")
-              consider(Split(a, isCat = false, "", t), lc, ls, lq, Map.empty)
-            }
-          }
-          for (k <- cat) {
-            val (cols, rows) = catRows(k)
-            val ki = cols.indexOf(k)
-            // Sorted for determinism: mirrored one-vs-rest splits on a binary
-            // domain tie in cost, and both services must break ties alike.
-            val values = rows.map(_.get(ki).toString).distinct.sorted
-            for (v <- values) {
-              val vRows = rows.filter(_.get(ki).toString == v)
-              if (classification) {
-                val li = cols.indexOf(label)
-                val by = vRows.map(r => r.get(li).toString -> d(r, cols.indexOf(s"t_${n.id}_c")))
-                  .groupBy(_._1).map { case (c, xs) => c -> xs.map(_._2).sum }
-                consider(Split(k, isCat = true, v, 0.0), by.values.sum, 0.0, 0.0, by)
-              } else {
-                val lc = vRows.map(r => d(r, cols.indexOf(s"t_${n.id}_c"))).sum
-                val ls = vRows.map(r => d(r, cols.indexOf(s"t_${n.id}_s"))).sum
-                val lq = vRows.map(r => d(r, cols.indexOf(s"t_${n.id}_q"))).sum
-                consider(Split(k, isCat = true, v, 0.0), lc, ls, lq, Map.empty)
-              }
-            }
-          }
-
-          best match {
-            case Some((split, cost, (lc, ls, lq, lBy), (rc, rs, rq, rBy))) if cost < totCost - 1e-9 =>
-              n.split = Some(split)
-              val (lp, lcost) = if (classification) (lBy.maxBy(_._2)._1, giniCost(lBy))
-                                else ((ls / lc).toString, varCost(lc, ls, lq))
-              val (rp, rcost) = if (classification) (rBy.maxBy(_._2)._1, giniCost(rBy))
-                                else ((rs / rc).toString, varCost(rc, rs, rq))
-              val ln = mkNode(n.depth + 1, n.conds :+ split.leftFx, lc, lp, lcost)
-              val rn = mkNode(n.depth + 1, n.conds :+ split.rightFx, rc, rp, rcost)
-              n.left = Some(ln); n.right = Some(rn)
-              queue.enqueue(ln); queue.enqueue(rn)
-            case _ => // leaf
+    /** Runs node `id`'s batch; returns its totals and its best split with
+      * the statistics of both sides, if any split leaves rows on each side.
+      */
+    def evaluate(id: Int, conds: Seq[Fx]): (Stats, Option[(Split, Stats, Stats)]) = {
+      val out   = service.run(levelBatch(Seq(id -> conds), cont, cat, label, classification, thresholds, id))
+      val main  = new BatchOutput(out(s"dt_main_$id"))
+      val total = stats(main, main.rows, s"t_$id")
+      val lefts = (for ((a, ai) <- cont.zipWithIndex; (t, ti) <- thresholds(a).zipWithIndex)
+        yield Split(a, isCat = false, "", t) -> stats(main, main.rows, s"l_${id}_${ai}_$ti")) ++
+        cat.flatMap { k =>
+          val o = new BatchOutput(out(s"dt_cat_${k}_$id"))
+          // Sorted for determinism: mirrored one-vs-rest splits on a binary
+          // domain tie in cost, and both services must break ties alike.
+          o.rows.groupBy(o.key(_, k)).toSeq.sortBy(_._1).map { case (v, rows) =>
+            Split(k, isCat = true, v, 0.0) -> stats(o, rows, s"t_$id")
           }
         }
+      var best: Option[(Split, Stats, Stats, Double)] = None
+      for ((split, l) <- lefts) {
+        val r = total - l
+        val cost = l.cost + r.cost
+        if (l.count >= 1 && r.count >= 1 && best.forall(cost < _._4 - 1e-12)) best = Some((split, l, r, cost))
       }
-      level += 1
+      (total, best.collect { case (split, l, r, cost) if cost < total.cost - 1e-9 => (split, l, r) })
+    }
+
+    val rootEval = evaluate(0, Seq.empty)
+    val root = new Node(0, 0, Seq.empty, rootEval._1)
+    var nextId = 1
+    // Breadth first, so node ids (which name each node's queries) follow
+    // the order in which the nodes are expanded.
+    val queue = scala.collection.mutable.Queue(root)
+    while (queue.nonEmpty) {
+      val n = queue.dequeue()
+      if (n.depth < params.maxDepth && n.count >= params.minSplit && n.cost > 1e-9) {
+        val (_, best) = if (n eq root) rootEval else evaluate(n.id, n.conds)
+        for ((split, l, r) <- best) {
+          val ln = new Node(nextId, n.depth + 1, n.conds :+ split.leftFx, l)
+          val rn = new Node(nextId + 1, n.depth + 1, n.conds :+ split.rightFx, r)
+          nextId += 2
+          n.split = Some(split); n.left = Some(ln); n.right = Some(rn)
+          queue.enqueue(ln, rn)
+        }
+      }
     }
     Tree(root, classification, label)
   }

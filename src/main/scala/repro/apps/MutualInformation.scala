@@ -1,6 +1,6 @@
 package repro.apps
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** Pairwise mutual information and Chow-Liu structure learning (§2, eq. 7).
@@ -28,23 +28,18 @@ object MutualInformation {
 
   def numAggregates(n: Int): Int = 1 + n + n * (n - 1) / 2
 
-  private def d(r: Row, i: Int): Double = r.get(i) match {
-    case null                => 0.0
-    case x: java.lang.Number => x.doubleValue()
-    case x                   => x.toString.toDouble
-  }
-
   /** Decode the batch output into MI values for every attribute pair. */
   def collect(out: Map[String, DataFrame], attrs: Seq[String]): Map[(String, String), Double] = {
-    val total = d(out(TotalQ).collect()(0), 0)
+    val total = new BatchOutput(out(TotalQ)).scalar("cnt")
     val marginals: Map[String, Map[String, Double]] = attrs.map { a =>
-      a -> out(singleQ(a)).collect().map(r => r.get(0).toString -> d(r, 1)).toMap
+      val o = new BatchOutput(out(singleQ(a)))
+      a -> o.rows.map(r => o.key(r, a) -> o.num(r, "cnt")).toMap
     }.toMap
     (for (i <- attrs.indices; j <- (i + 1) until attrs.size) yield {
       val (a, b) = (attrs(i), attrs(j))
-      val cells  = out(pairQ(a, b)).collect()
-      val mi = cells.map { r =>
-        val (va, vb, delta) = (r.get(0).toString, r.get(1).toString, d(r, 2))
+      val cells  = new BatchOutput(out(pairQ(a, b)))
+      val mi = cells.rows.map { r =>
+        val (va, vb, delta) = (cells.key(r, a), cells.key(r, b), cells.num(r, "cnt"))
         val beta  = marginals(a)(va)
         val gamma = marginals(b)(vb)
         if (delta <= 0) 0.0 else delta / total * math.log(total * delta / (beta * gamma))

@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 
 /** Result of executing a plan: the per-query outputs and every frame the
-  * executor persisted. Call [[close]] to unpersist everything.
+  * executor persisted for it. Call [[close]] to unpersist them.
   */
 final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[DataFrame]) {
   def close(): Unit = persisted.foreach(_.unpersist(blocking = false))
@@ -69,11 +69,13 @@ final class Executor(dfs: Map[String, DataFrame]) {
       plan.views.flatMap(v => v.aggs.map(_.signature).distinct.map(sig => (v.from, sig)))
         .groupBy(identity).view.mapValues(_.size).toMap
 
+    // Spark's cache is keyed by plan: a frame whose plan another live result
+    // already cached reads that entry, and only this run's own entries are
+    // released by close().
     val persisted = mutable.ArrayBuffer[DataFrame]()
-    def persist(df: DataFrame): DataFrame = {
-      val p = df.persist(StorageLevel.MEMORY_AND_DISK)
-      persisted += p; p
-    }
+    def persist(df: DataFrame): DataFrame =
+      if (df.storageLevel != StorageLevel.NONE) df
+      else { persisted += df.persist(StorageLevel.MEMORY_AND_DISK); df }
 
     val bases = mutable.Map[(String, Seq[Int]), DataFrame]()
     val views = mutable.Map[Int, DataFrame]()

@@ -56,8 +56,7 @@ object Workloads {
   def rtNodeBatch(ds: SchemaDataset, dfs: Map[String, DataFrame]): Seq[AggQuery] = {
     val cont = ds.continuous.filterNot(_ == ds.label)
     val thr  = DecisionTree.bucketThresholds(dfs, ds.tree, cont, treeBuckets)
-    val root = new DecisionTree.Node(0, 0, Seq.empty, 1.0, "0", 1.0)
-    DecisionTree.levelBatch(Seq(root), cont, ds.categorical, ds.label,
+    DecisionTree.levelBatch(Seq(0 -> Seq.empty), cont, ds.categorical, ds.label,
       classification = false, thr, level = 0)
   }
 
@@ -103,20 +102,12 @@ object Workloads {
     rows * (numericBytes + stringBytes) / 1e6
   }
 
-  /** Force full evaluation of a batch result (collect the small aggregate
-    * outputs, as an application would). Outputs are independent Spark jobs
-    * and are drained concurrently; a shared view is filled by the first job
-    * that reads it.
+  /** Force full evaluation of a batch result: collect every output, as an
+    * application would, one after the other. A shared view is filled by the
+    * first output that reads it. Returns the number of rows collected.
     */
-  def drain(out: Map[String, DataFrame]): Long = {
-    import java.util.concurrent.Executors
-    import scala.concurrent.{Await, ExecutionContext, Future}
-    import scala.concurrent.duration.Duration
-    val pool = Executors.newFixedThreadPool(8)
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
-    try Await.result(Future.sequence(out.values.toSeq.map(df => Future(df.count()))), Duration.Inf).sum
-    finally pool.shutdown()
-  }
+  def drain(out: Map[String, DataFrame]): Long =
+    out.values.map(_.collect().length.toLong).sum
 
   /** Evaluate a batch per-query through the baseline, timing the whole run.
     * When `sampleCap` < number of queries, only an evenly-spaced sample is
@@ -130,7 +121,7 @@ object Workloads {
                val stride = batch.size.toDouble / sampleCap
                (0 until sampleCap).map(i => batch((i * stride).toInt))
              }
-    val (_, t) = Timing.timed { qs.foreach(q => svc.runOne(q).count()) }
+    val (_, t) = Timing.timed { qs.foreach(q => svc.runOne(q).collect()) }
     if (qs.size == batch.size) (t, false)
     else (t * batch.size / qs.size, true)
   }

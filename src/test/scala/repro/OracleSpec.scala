@@ -1,7 +1,7 @@
 package repro
 
 /** The oracle itself: equal row multisets compare equal whatever order
-  * either side returns them in.
+  * either side returns them in, and unequal values do not.
   */
 class OracleSpec extends SparkSpec {
 
@@ -15,5 +15,13 @@ class OracleSpec extends SparkSpec {
     Oracle.assertEquivalent(df,
       """SELECT * FROM (VALUES ('ab', 'c'), ('a', 'bc'),
                                 ('a', 'b' || chr(1) || 'c'), ('a' || chr(1) || 'b', 'c')) t(x, y)""")
+  }
+
+  test("doubles that differ beyond the sixth decimal are a mismatch") {
+    import spark.implicits._
+    val e = intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(Seq(1.0e-7).toDF("x"), "SELECT CAST(2.0e-7 AS DOUBLE) AS x")
+    }
+    assert(e.getMessage.contains("result mismatch"), e.getMessage)
   }
 }

@@ -1,12 +1,12 @@
 package repro.apps
 
-import repro.{SparkSpec, TestData}
+import repro.{DuckAggService, Oracle, SparkSpec, TestData}
 import repro.core._
-import repro.datasets.{Favorita, TpcDs}
+import repro.datasets.{Favorita, SchemaDataset, TpcDs}
 
 /** CART over aggregate batches: LMFAO-trained trees must equal the trees the
-  * flat-scan baseline learns, split for split; costs match hand-computed
-  * values on crafted data.
+  * flat-scan baseline learns and the trees DuckDB's results give, split for
+  * split; costs match hand-computed values on crafted data.
   */
 class DecisionTreeSpec extends SparkSpec {
 
@@ -132,6 +132,42 @@ class DecisionTreeSpec extends SparkSpec {
       t.root.nodes.map(n => s"${n.depth}:${n.split.map(_.toString).getOrElse("leaf:" + n.prediction)}:${n.count}")
     assert(shape(t1) == shape(t2))
     assert(t1.root.nodes.forall(n => n.count > 0))
+  }
+
+  /** The tree `train` learns through LMFAO and through DuckDB evaluating
+    * each query's SQL over the raw tables, as comparable node lists.
+    */
+  def lmfaoAndDuck(ds: SchemaDataset)(train: AggService => DecisionTree.Tree): (Seq[String], Seq[String]) = {
+    def shape(t: DecisionTree.Tree): Seq[String] =
+      t.root.nodes.map(n => s"${n.depth}:${n.split.map(_.toString).getOrElse("leaf:" + n.prediction)}:${n.count}")
+    val dfs   = TestData.dfs(ds, spark)
+    val lmfao = new LmfaoService(spark, ds.tree, dfs, TestData.sizes(ds, spark))
+    val t1    = try train(lmfao) finally lmfao.close()
+    val conn  = Oracle.connect(TestData.tables(ds, spark): _*)
+    val t2    = try train(new DuckAggService(spark, conn, ds.tree)) finally conn.close()
+    (shape(t1), shape(t2))
+  }
+
+  test("Favorita: LMFAO regression tree equals the DuckDB-computed tree split-for-split") {
+    val ds = Favorita
+    val cont = Seq("txns", "oilprize", "class")
+    val cat  = Seq("perishable", "stype")
+    val thr  = DecisionTree.bucketThresholds(TestData.dfs(ds, spark), ds.tree, cont, buckets = 8)
+    val (lmfao, duck) = lmfaoAndDuck(ds)(DecisionTree.train(_, cont, cat, ds.label,
+      classification = false, thr, DecisionTree.Params(maxDepth = 2, minSplit = 10)))
+    assert(lmfao.size > 1)
+    assert(lmfao == duck)
+  }
+
+  test("TPC-DS: LMFAO classification tree equals the DuckDB-computed tree split-for-split") {
+    val ds = TpcDs
+    val cont = Seq("cd_dep_count", "hd_vehicle_count", "d_qoy")
+    val cat  = Seq("cd_gender", "hd_buy_potential")
+    val thr  = DecisionTree.bucketThresholds(TestData.dfs(ds, spark), ds.tree, cont, buckets = 6)
+    val (lmfao, duck) = lmfaoAndDuck(ds)(DecisionTree.train(_, cont, cat, ds.classLabel,
+      classification = true, thr, DecisionTree.Params(maxDepth = 2, minSplit = 10)))
+    assert(lmfao.size > 1)
+    assert(lmfao == duck)
   }
 
   test("TPC-DS: classification tree beats majority-class accuracy (signal through joins)") {

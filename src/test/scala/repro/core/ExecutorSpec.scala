@@ -83,6 +83,9 @@ class ExecutorSpec extends SparkSpec {
         }
         cfg.close()
       }
+      // The dataset's last test: release the default service's cache, so
+      // that later runs of the same plans persist (and own) their views.
+      svc.close()
     }
   }
 
@@ -240,6 +243,21 @@ class ExecutorSpec extends SparkSpec {
     assert(shared.storageLevel != StorageLevel.NONE)
     res.close()
     assert(shared.storageLevel == StorageLevel.NONE)
+  }
+
+  test("close() releases only what its own run cached") {
+    import org.apache.spark.storage.StorageLevel
+    val ds   = Retailer
+    val dfs  = TestData.dfs(ds, spark)
+    val plan = new LmfaoService(spark, ds.tree, dfs, TestData.sizes(ds, spark))
+      .planOnly(representativeBatch(ds))
+    val first  = new Executor(dfs).run(plan)
+    val second = new Executor(dfs).run(plan)
+    assert(first.persisted.nonEmpty)
+    second.close()
+    assert(first.persisted.forall(_.storageLevel != StorageLevel.NONE))
+    first.close()
+    assert(first.persisted.forall(_.storageLevel == StorageLevel.NONE))
   }
 
   test("multiple aggregates over one view keep independent columns") {
