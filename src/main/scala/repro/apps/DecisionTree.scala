@@ -7,16 +7,21 @@ import repro.core._
 /** CART decision trees (§2 eqs. 8–10, §4.2) driven entirely by aggregate
   * batches over the join — no training-set materialization.
   *
-  * CART expands one node at a time, and each expanded node issues ONE batch
-  * (the paper's "regression tree node" workload):
-  *  - regression (variance cost): COUNT/SUM(y)/SUM(y²) under the node's
+  * CART expands the tree one depth at a time, and each depth with an open
+  * node issues ONE batch for all of its open nodes (the paper's "regression
+  * tree node" workload, once per node, side by side as in PLANET's frontier
+  * expansion):
+  *  - regression (variance cost): COUNT/SUM(y)/SUM(y²) under each node's
   *    ancestor-condition product α, for the node total and for every
   *    candidate continuous threshold (scalar queries), plus one group-by
   *    query per categorical attribute (eq. 8 extended with a group-by);
   *  - classification (Gini): class-frequency counts, i.e. the same shape
   *    grouped by the label (eqs. 9–10).
-  * The root's totals come from its own batch; every other node's from its
-  * parent's split, so a node that is not expanded runs no batch.
+  * Sibling nodes share the views that carry none of their conditions. The
+  * root's totals come from its own batch; every other node's from its
+  * parent's split, so a depth whose nodes are all closed runs no batch. With
+  * `maxDepth = 0` the root's batch is its totals alone; under `minSplit` it
+  * is the full batch, because the root's count is only known from it.
   *
   * The candidate conditions change between iterations with the data — the
   * paper's *dynamic functions*. Here each iteration plans fresh literal
@@ -117,7 +122,8 @@ object DecisionTree {
     if (classification) Seq("_c") else Seq("_c", "_s", "_q")
 
   /** Build the aggregate batch for open nodes, given as (id, conditions).
-    * Returns the queries; result decoding is keyed by the naming scheme
+    * Returns the queries `dt_main_<level>` and `dt_cat_<attr>_<level>` (`train`
+    * passes the depth); result decoding is keyed by the naming scheme
     * `t_<node>` (totals) and `l_<node>_<attrIdx>_<thresholdIdx>` (left side
     * of each candidate continuous split).
     */
@@ -147,7 +153,9 @@ object DecisionTree {
     main +: perCat
   }
 
-  /** Train a CART tree against an arbitrary aggregate service. */
+  /** Train a CART tree against an arbitrary aggregate service, one batch per
+    * depth that has an open node.
+    */
   def train(service: AggService, cont: Seq[String], cat: Seq[String], label: String,
             classification: Boolean, thresholds: Map[String, Seq[Double]],
             params: Params = Params()): Tree = {
@@ -158,50 +166,64 @@ object DecisionTree {
       (if (classification) o.key(r, label) else "") -> suffixes.map(sx => o.num(r, prefix + sx)).toVector
     }.toMap)
 
-    /** Runs node `id`'s batch; returns its totals and its best split with
-      * the statistics of both sides, if any split leaves rows on each side.
+    /** Runs the batch of the nodes `open` (id, conditions) at `depth`;
+      * returns each node's totals and its best split with the statistics of
+      * both sides, if any split leaves rows on each side and lowers the cost.
+      * At `maxDepth` (the root of a depth-0 tree) no node can split, so the
+      * batch is the totals alone.
       */
-    def evaluate(id: Int, conds: Seq[Fx]): (Stats, Option[(Split, Stats, Stats)]) = {
-      val out   = service.run(levelBatch(Seq(id -> conds), cont, cat, label, classification, thresholds, id))
-      val main  = new BatchOutput(out(s"dt_main_$id"))
-      val total = stats(main, main.rows, s"t_$id")
-      val lefts = (for ((a, ai) <- cont.zipWithIndex; (t, ti) <- thresholds(a).zipWithIndex)
-        yield Split(a, isCat = false, "", t) -> stats(main, main.rows, s"l_${id}_${ai}_$ti")) ++
-        cat.flatMap { k =>
-          val o = new BatchOutput(out(s"dt_cat_${k}_$id"))
-          // Sorted for determinism: mirrored one-vs-rest splits on a binary
-          // domain tie in cost, and both services must break ties alike.
-          o.rows.groupBy(o.key(_, k)).toSeq.sortBy(_._1).map { case (v, rows) =>
-            Split(k, isCat = true, v, 0.0) -> stats(o, rows, s"t_$id")
-          }
-        }
-      var best: Option[(Split, Stats, Stats, Double)] = None
-      for ((split, l) <- lefts) {
-        val r = total - l
-        val cost = l.cost + r.cost
-        if (l.count >= 1 && r.count >= 1 && best.forall(cost < _._4 - 1e-12)) best = Some((split, l, r, cost))
+    def evaluate(open: Seq[(Int, Seq[Fx])], depth: Int): Map[Int, (Stats, Option[(Split, Stats, Stats)])] = {
+      val (splitCont, splitCat) = if (depth < params.maxDepth) (cont, cat) else (Nil, Nil)
+      val out  = service.run(levelBatch(open, splitCont, splitCat, label, classification, thresholds, depth))
+      val main = new BatchOutput(out(s"dt_main_$depth"))
+      // Sorted for determinism: mirrored one-vs-rest splits on a binary
+      // domain tie in cost, and both services must break ties alike.
+      val cats = splitCat.map { k =>
+        val o = new BatchOutput(out(s"dt_cat_${k}_$depth"))
+        (k, o, o.rows.groupBy(o.key(_, k)).toSeq.sortBy(_._1))
       }
-      (total, best.collect { case (split, l, r, cost) if cost < total.cost - 1e-9 => (split, l, r) })
+      open.map { case (id, _) =>
+        val total = stats(main, main.rows, s"t_$id")
+        val lefts = (for ((a, ai) <- splitCont.zipWithIndex; (t, ti) <- thresholds(a).zipWithIndex)
+          yield Split(a, isCat = false, "", t) -> stats(main, main.rows, s"l_${id}_${ai}_$ti")) ++
+          cats.flatMap { case (k, o, byValue) =>
+            byValue.map { case (v, rows) => Split(k, isCat = true, v, 0.0) -> stats(o, rows, s"t_$id") }
+          }
+        var best: Option[(Split, Stats, Stats, Double)] = None
+        for ((split, l) <- lefts) {
+          val r = total - l
+          val cost = l.cost + r.cost
+          if (l.count >= 1 && r.count >= 1 && best.forall(cost < _._4 - 1e-12)) best = Some((split, l, r, cost))
+        }
+        id -> (total, best.collect { case (split, l, r, cost) if cost < total.cost - 1e-9 => (split, l, r) })
+      }.toMap
     }
 
-    val rootEval = evaluate(0, Seq.empty)
-    val root = new Node(0, 0, Seq.empty, rootEval._1)
+    def isOpen(n: Node): Boolean =
+      n.depth < params.maxDepth && n.count >= params.minSplit && n.cost > 1e-9
+
+    // The root's totals come from its own batch, which carries every
+    // candidate split unless maxDepth is 0: whether the root reaches minSplit
+    // is only known once its count is.
+    val rootEval = evaluate(Seq(0 -> Seq.empty), 0)
+    val root = new Node(0, 0, Seq.empty, rootEval(0)._1)
     var nextId = 1
-    // Breadth first, so node ids (which name each node's queries) follow
-    // the order in which the nodes are expanded.
-    val queue = scala.collection.mutable.Queue(root)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      if (n.depth < params.maxDepth && n.count >= params.minSplit && n.cost > 1e-9) {
-        val (_, best) = if (n eq root) rootEval else evaluate(n.id, n.conds)
-        for ((split, l, r) <- best) {
+    // Level by level, in id order, so node ids (which name each node's
+    // aggregates) follow the breadth-first expansion order.
+    var open  = Seq(root).filter(isOpen)
+    var evals = rootEval
+    while (open.nonEmpty) {
+      val children = open.flatMap { n =>
+        evals(n.id)._2.toSeq.flatMap { case (split, l, r) =>
           val ln = new Node(nextId, n.depth + 1, n.conds :+ split.leftFx, l)
           val rn = new Node(nextId + 1, n.depth + 1, n.conds :+ split.rightFx, r)
           nextId += 2
           n.split = Some(split); n.left = Some(ln); n.right = Some(rn)
-          queue.enqueue(ln, rn)
+          Seq(ln, rn)
         }
       }
+      open = children.filter(isOpen)
+      if (open.nonEmpty) evals = evaluate(open.map(n => n.id -> n.conds), open.head.depth)
     }
     Tree(root, classification, label)
   }

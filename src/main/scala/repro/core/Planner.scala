@@ -102,6 +102,10 @@ final class Planner(val tree: JoinTree, val merge: Boolean = true) {
   private val specs = mutable.ArrayBuffer[ViewSpec]()
   private val memo  = mutable.Map[(String, Option[String], Seq[String]), Int]()
   private val outs  = mutable.ArrayBuffer[OutputSpec]()
+  /** Aggregate name by (view id, local, children): merge case (3) lookups in
+    * constant time, so planning stays linear in the width of a view.
+    */
+  private val aggIndex = mutable.HashMap[(Int, Seq[Fx], Seq[AggRef]), String]()
 
   private def specFor(node: String, to: Option[String], gb: Seq[String]): ViewSpec = {
     def create(): ViewSpec = {
@@ -111,13 +115,11 @@ final class Planner(val tree: JoinTree, val merge: Boolean = true) {
   }
 
   private def addAgg(spec: ViewSpec, local: Seq[Fx], children: Seq[AggRef]): String = {
-    if (merge) spec.aggs.find(a => a.local == local && a.children == children) match {
-      case Some(existing) => existing.name  // merge case (3)
-      case None =>
-        val a = ViewAgg(s"a${spec.aggs.size}", local, children); spec.aggs += a; a.name
-    } else {
+    def create(): String = {
       val a = ViewAgg(s"a${spec.aggs.size}", local, children); spec.aggs += a; a.name
     }
+    if (merge) aggIndex.getOrElseUpdate((spec.id, local, children), create())  // merge case (3)
+    else create()
   }
 
   /** Split a product into node-local factors and per-child-subtree factors. */

@@ -1,5 +1,6 @@
 package repro.apps
 
+import org.apache.spark.sql.DataFrame
 import repro.{DuckAggService, Oracle, SparkSpec, TestData}
 import repro.core._
 import repro.datasets.{Favorita, SchemaDataset, TpcDs}
@@ -23,6 +24,13 @@ class DecisionTreeSpec extends SparkSpec {
   lazy val toyTree = JoinTree(Seq(Relation("T", Seq("id", "x", "y", "g"))), Seq.empty)
   lazy val toySvc  = new LmfaoService(spark, toyTree, Map("T" -> toy))
 
+  /** Passes batches through to `inner` and records each one. */
+  final class CountingService(inner: AggService) extends AggService {
+    val batches = scala.collection.mutable.ArrayBuffer[Seq[AggQuery]]()
+    def run(batch: Seq[AggQuery]): Map[String, DataFrame] = { batches += batch; inner.run(batch) }
+    override def close(): Unit = inner.close()
+  }
+
   test("regression: the obvious split x<=5 is found on the toy dataset") {
     val thr = Map("x" -> (0 until 10).map(_.toDouble))
     val t = DecisionTree.train(toySvc, Seq("x"), Seq("g"), "y",
@@ -37,12 +45,16 @@ class DecisionTreeSpec extends SparkSpec {
 
   test("regression: root impurity equals the hand-computed variance cost") {
     val thr = Map("x" -> (0 until 10).map(_.toDouble))
-    val t = DecisionTree.train(toySvc, Seq("x"), Seq.empty, "y",
+    val counting = new CountingService(toySvc)
+    val t = DecisionTree.train(counting, Seq("x"), Seq("g"), "y",
       classification = false, thr, DecisionTree.Params(maxDepth = 0, minSplit = 1))
     val ys = (1 to 40).map(i => if (i % 10 <= 5) 10.0 else 30.0)
     val expected = ys.map(y => y * y).sum - math.pow(ys.sum, 2) / ys.size
     assert(math.abs(t.root.cost - expected) < 1e-6)
     assert(t.root.isLeaf)
+    // A root that cannot split runs its totals query alone.
+    assert(counting.batches.map(_.map(q => q.name -> q.aggs.map(_.name))) ==
+      Seq(Seq("dt_main_0" -> Seq("t_0_c", "t_0_s", "t_0_q"))))
   }
 
   test("classification: pure split yields zero-Gini children") {
@@ -167,6 +179,50 @@ class DecisionTreeSpec extends SparkSpec {
     val (lmfao, duck) = lmfaoAndDuck(ds)(DecisionTree.train(_, cont, cat, ds.classLabel,
       classification = true, thr, DecisionTree.Params(maxDepth = 2, minSplit = 10)))
     assert(lmfao.size > 1)
+    assert(lmfao == duck)
+  }
+
+  test("Favorita depth 2: one batch per level with an open node, same tree as DuckDB") {
+    val ds = Favorita
+    val cont = Seq("txns", "oilprize", "class")
+    val cat  = Seq("perishable", "stype")
+    val thr  = DecisionTree.bucketThresholds(TestData.dfs(ds, spark), ds.tree, cont, buckets = 8)
+    var runs = Seq.empty[Seq[Seq[AggQuery]]]
+    val (lmfao, duck) = lmfaoAndDuck(ds) { svc =>
+      val counting = new CountingService(svc)
+      val t = DecisionTree.train(counting, cont, cat, ds.label, classification = false, thr,
+        DecisionTree.Params(maxDepth = 2, minSplit = 10))
+      runs :+= counting.batches.toSeq
+      assert(t.root.nodes.count(!_.isLeaf) == 3, t.describe) // 3 batches node by node
+      t
+    }
+    assert(lmfao == duck)
+    for (batches <- runs) {
+      assert(batches.size == 2)
+      assert(batches.map(_.head.name) == Seq("dt_main_0", "dt_main_1"))
+      // The second batch evaluates both children of the root side by side.
+      assert(batches(1).head.aggs.map(_.name).filter(_.startsWith("t_")).toSet ==
+        Set("t_1_c", "t_1_s", "t_1_q", "t_2_c", "t_2_s", "t_2_q"))
+    }
+  }
+
+  test("Favorita depth 3: a level with a node closed by minSplit and expanded siblings equals DuckDB") {
+    val ds = Favorita
+    val cont = Seq("txns", "oilprize", "class")
+    val cat  = Seq("perishable", "stype")
+    val thr  = DecisionTree.bucketThresholds(TestData.dfs(ds, spark), ds.tree, cont, buckets = 8)
+    val params = DecisionTree.Params(maxDepth = 3, minSplit = 2100)
+    var mixed = Seq.empty[Boolean]
+    val (lmfao, duck) = lmfaoAndDuck(ds) { svc =>
+      val t = DecisionTree.train(svc, cont, cat, ds.label, classification = false, thr, params)
+      // Some depth below maxDepth holds a leaf that minSplit closed next to
+      // an expanded node, so that depth's batch leaves one node out.
+      mixed :+= t.root.nodes.filter(_.depth < params.maxDepth).groupBy(_.depth).values.exists { level =>
+        level.exists(n => n.isLeaf && n.count < params.minSplit) && level.exists(!_.isLeaf)
+      }
+      t
+    }
+    assert(mixed == Seq(true, true), lmfao.mkString("\n"))
     assert(lmfao == duck)
   }
 

@@ -1,5 +1,8 @@
 package repro.apps
 
+import scala.collection.mutable
+
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestData}
 import repro.core._
@@ -15,9 +18,21 @@ class LinearRegressionSpec extends SparkSpec {
   def contFeats(ds: repro.datasets.SchemaDataset, n: Int): Seq[String] =
     (ds.label +: ds.continuous.filterNot(_ == ds.label).take(n - 1)).distinct
 
+  /** The full joins the per-dataset tests cached, released in `afterAll`. */
+  private val cachedJoins = mutable.ArrayBuffer[DataFrame]()
+
+  override def afterAll(): Unit = {
+    cachedJoins.foreach(_.unpersist())
+    super.afterAll()
+  }
+
   for (ds <- Seq(Retailer, Favorita)) {
     lazy val dfs = TestData.dfs(ds, spark)
-    lazy val joined = FlatJoinService.fullJoin(ds.tree, dfs).persist()
+    lazy val joined = {
+      val j = FlatJoinService.fullJoin(ds.tree, dfs).persist()
+      cachedJoins += j
+      j
+    }
 
     test(s"${ds.name}: LMFAO closed form equals flat-join closed form (continuous)") {
       val cont = contFeats(ds, 5)
@@ -49,7 +64,9 @@ class LinearRegressionSpec extends SparkSpec {
   test("Favorita: one-hot categorical model beats the continuous-only model in-sample") {
     val ds = Favorita
     val dfs = TestData.dfs(ds, spark)
-    val joined = FlatJoinService.fullJoin(ds.tree, dfs).persist()
+    // Not persisted here: the Favorita tests above may have cached this very
+    // plan, and unpersisting it would drop their shared entry.
+    val joined = FlatJoinService.fullJoin(ds.tree, dfs)
     val cont = Seq(ds.label, "txns", "oilprize")
     val svc = new LmfaoService(spark, ds.tree, dfs)
     val covarPlain = CovarMatrix.compute(svc, cont, Seq.empty)
@@ -59,7 +76,6 @@ class LinearRegressionSpec extends SparkSpec {
     val cat   = LinearRegression.trainClosedForm(covarCat, ds.label, 1e-6)
     // `perishable` is correlated with the demand signal by construction.
     assert(cat.rmse(joined) <= plain.rmse(joined) + 1e-9)
-    joined.unpersist()
   }
 
   test("model beats the predict-the-mean baseline on held-out data (signal exists)") {

@@ -120,6 +120,70 @@ class PlannerSpec extends AnyFunSuite {
     assert(unmerged.views.size == 3 * 6)    // 3 × (5 edges + output)
   }
 
+  test("merge case (3) dedup keeps each view's aggregates distinct and named a0, a1, ... in order") {
+    import repro.apps.CovarMatrix
+    val F = Favorita.tree
+    val singles = (1 to 6).map(i => countQ(s"q$i", s"X$i"))
+    val pairs = for (i <- 1 to 6; j <- (i + 1) to 6) yield countQ(s"p${i}_$j", s"X$i", s"X$j")
+    val chainCounts = (1 to 8).map(i => countQ(s"q$i", s"X$i"))
+    val sales = Some("Sales")
+    // Every batch planned above, with the A/I/V/G that the linear-scan dedup
+    // (the planner before the hash index) gave for it.
+    val cases: Seq[(Plan, PlanStats)] = Seq(
+      Planner.planBatch(F, Seq(AggQuery.count("q")), forcedRoot = sales) -> PlanStats(1, 5, 6, 6),
+      Planner.planBatch(F, Seq(countQ("q", "family")), forcedRoot = sales) -> PlanStats(1, 5, 6, 6),
+      Planner.planBatch(F, Seq(AggQuery("q", Seq.empty,
+        Seq(NamedAgg("a", Seq(Att("unitsales"), Att("oilprize")))))), forcedRoot = sales) -> PlanStats(1, 5, 6, 6),
+      Planner.planBatch(F, Seq(
+        AggQuery("q1", Seq.empty, Seq(NamedAgg("a", Seq(Att("unitsales"), Att("oilprize"))))),
+        AggQuery("q2", Seq("family"), Seq(NamedAgg("a", Seq(Att("oilprize")))))),
+        forcedRoot = sales) -> PlanStats(2, 6, 8, 6),
+      Planner.planBatch(F, Seq(AggQuery("q1", Seq.empty, Seq(NamedAgg("a", Seq(Att("oilprize"))))),
+        AggQuery("q2", Seq.empty, Seq(NamedAgg("a", Seq(Pow("oilprize", 2)))))),
+        forcedRoot = sales) -> PlanStats(2, 7, 6, 6),
+      Planner.planBatch(F, Seq(AggQuery("q1", Seq.empty, Seq(NamedAgg("a", Seq(Att("oilprize"))))),
+        AggQuery("q3", Seq("city"), Seq(NamedAgg("a", Seq(Att("txns")))))),
+        forcedRoot = sales) -> PlanStats(2, 8, 9, 6),
+      Planner.planBatch(F, (1 to 3).map(i => AggQuery.count(s"q$i")), forcedRoot = sales) -> PlanStats(3, 5, 6, 6),
+      Planner.planBatch(chain(8), chainCounts) -> PlanStats(8, 12, 20, 13),
+      Planner.planBatch(chain(8), chainCounts, forcedRoot = Some("S1")) -> PlanStats(8, 27, 35, 7),
+      Planner.planBatch(chain(6), singles) -> PlanStats(6, 8, 14, 9),
+      Planner.planBatch(chain(6), singles ++ pairs) -> PlanStats(21, 18, 39, 9),
+      Planner.planBatch(F, Seq(AggQuery("a", Seq.empty, Seq(NamedAgg("x", Nil), NamedAgg("y", Seq(Att("txns"))))),
+        countQ("b", "family"))) -> PlanStats(3, 7, 7, 6),
+      Planner.planBatch(F, Seq(AggQuery.count("a"), countQ("b", "family"), countQ("c", "city"))) ->
+        PlanStats(3, 8, 11, 10),
+      Planner.planBatch(F, Seq(AggQuery("q1", Seq.empty, Seq(NamedAgg("a", Seq(Att("unitsales"))))),
+        countQ("q2", "family"))) -> PlanStats(2, 6, 7, 6),
+      Planner.planBatch(Retailer.tree, CovarMatrix.batch(Retailer.continuous, Retailer.categorical)) ->
+        PlanStats(815, 1146, 26, 7),
+    )
+    for ((plan, expected) <- cases) {
+      assert(plan.stats == expected)
+      for (v <- plan.views) {
+        assert(v.aggs.map(_.name) == v.aggs.indices.map(i => s"a$i"), v.toString)
+        assert(v.aggs.map(a => (a.local, a.children)).distinct.size == v.aggs.size, v.toString)
+      }
+      for (o <- plan.outputs; (_, agg) <- o.aggNames)
+        assert(plan.views(o.view).aggs.exists(_.name == agg))
+    }
+  }
+
+  test("a two-sibling CART level batch shares the views that carry no node condition") {
+    import repro.apps.DecisionTree
+    val cont = Seq("txns", "oilprize", "class")
+    val thr  = cont.map(_ -> Seq(10.0, 20.0, 30.0)).toMap
+    val sides = Seq(1 -> Seq(Ind("txns", "<=", "15.0")), 2 -> Seq(Ind("txns", ">", "15.0")))
+    def plan(nodes: Seq[(Int, Seq[Fx])]): Plan = Planner.planBatch(Favorita.tree,
+      DecisionTree.levelBatch(nodes, cont, Seq("perishable", "stype"), Favorita.label,
+        classification = false, thr, level = 1))
+    val both = plan(sides)
+    val apart = sides.map(n => plan(Seq(n)))
+    assert(both.stats.appAggs == apart.map(_.stats.appAggs).sum)
+    assert(both.stats.intermediateAggs < apart.map(_.stats.intermediateAggs).sum,
+      s"together ${both.stats}, apart ${apart.map(_.stats)}")
+  }
+
   // ---------- Example 3.3: chain with per-query roots ----------
 
   test("chain counts with multi-root need O(n) linear views") {
