@@ -80,11 +80,9 @@ object LinearRegression {
     * optimization.
     */
   def train(service: AggService, cont: Seq[String], cat: Seq[String], label: String,
-            lambda: Double = 1e-6, closedForm: Boolean = false): Model = {
+            lambda: Double = 1e-6): Model = {
     require(cont.contains(label), s"label $label must be one of the continuous attributes")
-    val covar = CovarMatrix.compute(service, cont, cat)
-    if (closedForm) trainClosedForm(covar, label, lambda)
-    else trainBgd(covar, label, lambda)._1
+    trainBgd(CovarMatrix.compute(service, cont, cat), label, lambda)._1
   }
 
   /** MADlib-proxy baseline: compute the gram matrix directly over the

@@ -20,15 +20,14 @@ final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[D
   * view is built on first use, children first:
   *
   *  - each distinct *body* — the relation natural-joined with one set of
-  *    incoming views — is built once and cached when used by more than one
-  *    aggregation pass: the Spark analogue of the paper's single shared trie
+  *    incoming views — is built once and cached when more than one view is
+  *    computed over it: the Spark analogue of the paper's single shared trie
   *    scan over the common relation;
-  *  - every view over that body is one multi-aggregate `groupBy().agg(...)`
-  *    pass, so all its aggregates share the scan (Catalyst whole-stage
-  *    codegen compiles the pass to specialized bytecode — the Compilation
-  *    layer analogue);
-  *  - merge case (1): a view whose aggregates have different bodies is the
-  *    join of its per-body partials on the (identical) group-by attributes.
+  *  - every view has one body ([[ViewSpec.body]]; merge case (1) cannot
+  *    arise with unary factors) and is one multi-aggregate
+  *    `groupBy().agg(...)` pass over it, so all its aggregates share the scan
+  *    (Catalyst whole-stage codegen compiles the pass to specialized
+  *    bytecode — the Compilation layer analogue).
   *
   * Shared views and bases are persisted but not forced: the first job that
   * reads one fills Spark's cache, and later jobs read the cached blocks.
@@ -56,18 +55,16 @@ final class Executor(dfs: Map[String, DataFrame]) {
     // computation LMFAO shares. Single-consumer views stay lazy and fuse
     // into their consumer's Catalyst plan (the paper's code inlining).
     val consumerCount: Map[Int, Int] =
-      plan.views.flatMap(v => v.aggs.flatMap(_.children.map(_.view)).distinct.map(_ -> v.id))
-        .groupBy(_._1).view.mapValues(_.map(_._2).distinct.size).toMap
+      plan.views.flatMap(_.body).groupBy(identity).view.mapValues(_.size).toMap
     val outputUse: Map[Int, Int] =
       plan.outputs.groupBy(_.view).view.mapValues(_ => 1).toMap
     def shouldPersist(id: Int): Boolean =
       consumerCount.getOrElse(id, 0) + outputUse.getOrElse(id, 0) > 1
 
-    // Body usage counts across the whole plan: bases used by >1 aggregation
-    // pass get persisted (the shared scan).
+    // Body usage counts across the whole plan: bases of more than one view
+    // get persisted (the shared scan).
     val bodyUse: Map[(String, Seq[Int]), Int] =
-      plan.views.flatMap(v => v.aggs.map(_.signature).distinct.map(sig => (v.from, sig)))
-        .groupBy(identity).view.mapValues(_.size).toMap
+      plan.views.groupBy(v => (v.from, v.body)).view.mapValues(_.size).toMap
 
     // Spark's cache is keyed by plan: a frame whose plan another live result
     // already cached reads that entry, and only this run's own entries are
@@ -80,23 +77,15 @@ final class Executor(dfs: Map[String, DataFrame]) {
     val bases = mutable.Map[(String, Seq[Int]), DataFrame]()
     val views = mutable.Map[Int, DataFrame]()
 
-    def baseFor(from: String, sig: Seq[Int]): DataFrame =
-      bases.getOrElseUpdate((from, sig), {
-        val b = sig.foldLeft(dfs(from))((acc, vid) => natJoin(acc, view(vid)))
-        if (bodyUse.getOrElse((from, sig), 0) > 1 && sig.nonEmpty) persist(b) else b
+    def baseFor(from: String, body: Seq[Int]): DataFrame =
+      bases.getOrElseUpdate((from, body), {
+        val b = body.foldLeft(dfs(from))((acc, vid) => natJoin(acc, view(vid)))
+        if (bodyUse((from, body)) > 1 && body.nonEmpty) persist(b) else b
       })
 
     def compute(v: ViewSpec): DataFrame = {
-      val partials: Seq[DataFrame] = v.aggs.toSeq.groupBy(_.signature).toSeq.sortBy(_._1.mkString(",")).map {
-        case (sig, aggs) =>
-          val base = baseFor(v.from, sig)
-          val aggCols = aggs.map(a => sum(productCol(a)).as(aggColName(v.id, a.name)))
-          if (v.groupBy.isEmpty) base.agg(aggCols.head, aggCols.tail: _*)
-          else base.groupBy(v.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
-      }
-      partials.reduce { (x, y) =>
-        if (v.groupBy.isEmpty) x.crossJoin(y) else x.join(y, v.groupBy, "inner")
-      }
+      val aggCols = v.aggs.toSeq.map(a => sum(productCol(a)).as(aggColName(v.id, a.name)))
+      baseFor(v.from, v.body).groupBy(v.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
     }
 
     // Planner ids are not in dependency order, so views are built by

@@ -9,10 +9,11 @@ final case class AggRef(view: Int, agg: String)
   * on the view's own relation) and the aggregate columns of incoming child
   * views (`children`). The executor computes `SUM(local_1 * ... * child_1 * ...)`.
   *
-  * The set of child views referenced (the *body signature*) identifies the
-  * paper's view "body": two aggregates of the same `ViewSpec` may have
-  * different bodies — that is exactly merge case (1), resolved by the
-  * executor by joining per-body partials on the group-by attributes.
+  * The child views referenced (the *signature*) name the aggregate's body:
+  * the view's relation joined with those views. With unary factors every
+  * aggregate of a view has the same signature, so the paper's merge case (1)
+  * — one view over different bodies, which needs a binary UDAF such as
+  * h(txns, city) — cannot arise, and [[Plan]] rejects a view that mixes bodies.
   */
 final case class ViewAgg(name: String, local: Seq[Fx], children: Seq[AggRef]) {
   def signature: Seq[Int] = children.map(_.view).distinct.sorted
@@ -25,6 +26,8 @@ final case class ViewAgg(name: String, local: Seq[Fx], children: Seq[AggRef]) {
 final class ViewSpec(val id: Int, val from: String, val to: Option[String],
                      val groupBy: Seq[String]) {
   val aggs: mutable.ArrayBuffer[ViewAgg] = mutable.ArrayBuffer.empty
+  /** The views joined with `from` to form this view's one body. */
+  def body: Seq[Int] = aggs.headOption.fold(Seq.empty[Int])(_.signature)
   def direction: String = to.map(t => s"$from->$t").getOrElse(s"$from (root)")
   override def toString: String =
     s"V$id[$direction](${groupBy.mkString(",")}; ${aggs.size} aggs)"
@@ -45,6 +48,8 @@ final case class PlanStats(appAggs: Int, intermediateAggs: Int, views: Int, grou
 /** The fully planned batch. */
 final case class Plan(tree: JoinTree, views: IndexedSeq[ViewSpec], outputs: Seq[OutputSpec],
                       roots: Map[String, String]) {
+  for (v <- views)
+    require(v.aggs.forall(_.signature == v.body), s"$v mixes bodies ${v.aggs.map(_.signature).distinct}")
 
   /** Longest-path depth of each view in the view-dependency DAG (leaves = 0).
     * A view only depends on views of strictly smaller depth.
@@ -52,7 +57,7 @@ final case class Plan(tree: JoinTree, views: IndexedSeq[ViewSpec], outputs: Seq[
   lazy val depths: Map[Int, Int] = {
     val memo = mutable.Map[Int, Int]()
     def d(id: Int): Int = memo.getOrElseUpdate(id, {
-      val kids = views(id).aggs.flatMap(_.children.map(_.view)).distinct
+      val kids = views(id).body
       if (kids.isEmpty) 0 else kids.map(d).max + 1
     })
     views.foreach(v => d(v.id)); memo.toMap
@@ -93,34 +98,32 @@ final case class Plan(tree: JoinTree, views: IndexedSeq[ViewSpec], outputs: Seq[
   * (recursively decomposed the same way). Factors over attributes of S stay
   * local; every child contributes at least a count (join multiplicity).
   *
-  * Merging: `merge = true` (default) memoizes views by (node, direction,
-  * group-by) and deduplicates identical aggregates — cases (3), (2) and,
-  * through per-signature execution, (1). `merge = false` materializes one
-  * fresh view per (query, edge), the unshared AC/DC-style ablation.
+  * Merging: views are memoized by (scope, node, direction, group-by) and
+  * identical aggregates of a view are deduplicated — cases (3) and (2).
+  * Case (1) cannot arise with unary factors (see [[ViewAgg]]). The scope is
+  * empty with `merge = true` (default), so views are shared across the
+  * batch; with `merge = false` it is the query name, so each query keeps its
+  * own views, one per edge plus its output: the unshared AC/DC-style ablation.
   */
 final class Planner(val tree: JoinTree, val merge: Boolean = true) {
   private val specs = mutable.ArrayBuffer[ViewSpec]()
-  private val memo  = mutable.Map[(String, Option[String], Seq[String]), Int]()
+  private val memo  = mutable.Map[(Option[String], String, Option[String], Seq[String]), Int]()
   private val outs  = mutable.ArrayBuffer[OutputSpec]()
   /** Aggregate name by (view id, local, children): merge case (3) lookups in
     * constant time, so planning stays linear in the width of a view.
     */
   private val aggIndex = mutable.HashMap[(Int, Seq[Fx], Seq[AggRef]), String]()
 
-  private def specFor(node: String, to: Option[String], gb: Seq[String]): ViewSpec = {
-    def create(): ViewSpec = {
-      val s = new ViewSpec(specs.size, node, to, gb); specs += s; s
-    }
-    if (merge) specs(memo.getOrElseUpdate((node, to, gb), create().id)) else create()
-  }
+  private def specFor(scope: Option[String], node: String, to: Option[String],
+                      gb: Seq[String]): ViewSpec =
+    specs(memo.getOrElseUpdate((scope, node, to, gb), {
+      val s = new ViewSpec(specs.size, node, to, gb); specs += s; s.id
+    }))
 
-  private def addAgg(spec: ViewSpec, local: Seq[Fx], children: Seq[AggRef]): String = {
-    def create(): String = {
+  private def addAgg(spec: ViewSpec, local: Seq[Fx], children: Seq[AggRef]): String =
+    aggIndex.getOrElseUpdate((spec.id, local, children), {  // merge case (3)
       val a = ViewAgg(s"a${spec.aggs.size}", local, children); spec.aggs += a; a.name
-    }
-    if (merge) aggIndex.getOrElseUpdate((spec.id, local, children), create())  // merge case (3)
-    else create()
-  }
+    })
 
   /** Split a product into node-local factors and per-child-subtree factors. */
   private def split(node: String, parent: Option[String], product: Seq[Fx])
@@ -144,15 +147,15 @@ final class Planner(val tree: JoinTree, val merge: Boolean = true) {
   /** Build (or merge into) the directional view `child → parent` carrying the
     * given partial product, returning a reference to its aggregate column.
     */
-  private def viewFor(child: String, parent: String, gbNeeded: Set[String],
-                      product: Seq[Fx]): AggRef = {
+  private def viewFor(scope: Option[String], child: String, parent: String,
+                      gbNeeded: Set[String], product: Seq[Fx]): AggRef = {
     val jA    = tree.joinAttrs(child, parent)
     val extra = (gbNeeded intersect tree.subtreeAttrs(child, parent)) diff jA.toSet
     val gb    = jA ++ extra.toSeq.sorted
-    val spec  = specFor(child, Some(parent), gb)
+    val spec  = specFor(scope, child, Some(parent), gb)
     val (local, byChild) = split(child, Some(parent), product)
     val kids = tree.adj(child).filter(_ != parent)
-      .map(c => viewFor(c, child, gbNeeded, byChild.getOrElse(c, Seq.empty)))
+      .map(c => viewFor(scope, c, child, gbNeeded, byChild.getOrElse(c, Seq.empty)))
     AggRef(spec.id, addAgg(spec, local, kids))
   }
 
@@ -161,12 +164,13 @@ final class Planner(val tree: JoinTree, val merge: Boolean = true) {
     val known = tree.allAttrs.toSet
     val missing = q.attrs.diff(known)
     require(missing.isEmpty, s"query ${q.name} references unknown attributes: $missing")
+    val scope   = Option.when(!merge)(q.name)
     val gbCanon = q.groupBy.sorted
-    val spec    = specFor(root, None, gbCanon)
+    val spec    = specFor(scope, root, None, gbCanon)
     val mapping = q.aggs.map { na =>
       val (local, byChild) = split(root, None, na.product)
       val kids = tree.adj(root)
-        .map(c => viewFor(c, root, q.groupBy.toSet, byChild.getOrElse(c, Seq.empty)))
+        .map(c => viewFor(scope, c, root, q.groupBy.toSet, byChild.getOrElse(c, Seq.empty)))
       na.name -> addAgg(spec, local, kids)
     }
     outs += OutputSpec(q, spec.id, mapping)

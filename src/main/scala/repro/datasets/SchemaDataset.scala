@@ -43,9 +43,6 @@ trait SchemaDataset {
   def cubeDims: Seq[String]
   def cubeMeasures: Seq[String]
 
-  /** Non-key attributes usable as decision-tree / covar features. */
-  def features: Seq[String] = continuous ++ categorical
-
   /** Relation cardinalities for root assignment / stats. */
   def sizes(dfs: Map[String, DataFrame]): Map[String, Long] =
     dfs.map { case (n, df) => n -> df.count() }

@@ -23,8 +23,7 @@ object Table3 {
                        seconds: Double, speedupVsLmfao: Double, extrapolated: Boolean)
 
   def compute(spark: SparkSession, sf: Double = Workloads.benchSf,
-              datasets: Seq[SchemaDataset] = Workloads.datasets,
-              includeCold: Boolean = true): Seq[Row] =
+              datasets: Seq[SchemaDataset] = Workloads.datasets): Seq[Row] =
     datasets.flatMap { ds =>
       val (dfs, sizes) = Workloads.loadPersisted(spark, ds, sf)
       val rows = Workloads.batches(ds, dfs).flatMap { case (wl, batch) =>
@@ -43,19 +42,15 @@ object Table3 {
         cachedSvc.close()
 
         // MonetDB proxy: per-query, join recomputed every time (sampled).
-        val cold =
-          if (!includeCold) None
-          else {
-            val coldSvc = new FlatJoinService(spark, ds.tree, dfs, cached = false)
-            val r = Workloads.timeBaseline(coldSvc, batch, ColdSampleCap)
-            coldSvc.close()
-            Some(r)
-          }
+        val coldSvc = new FlatJoinService(spark, ds.tree, dfs, cached = false)
+        val (tCold, extrapolated) = Workloads.timeBaseline(coldSvc, batch, ColdSampleCap)
+        coldSvc.close()
 
         Seq(
           Row(ds.name, wl, "LMFAO", tL, 1.0, extrapolated = false),
           Row(ds.name, wl, "PQ-cached", tCachedTotal, tCachedTotal / tL, extrapolated = false),
-        ) ++ cold.map { case (t, ex) => Row(ds.name, wl, "PQ-cold", t, t / tL, ex) }
+          Row(ds.name, wl, "PQ-cold", tCold, tCold / tL, extrapolated),
+        )
       }
       dfs.values.foreach(_.unpersist(blocking = false))
       rows

@@ -1,8 +1,6 @@
 package repro.tables
 
-import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.apps._
 import repro.core._
@@ -29,42 +27,25 @@ object Table4 {
   final case class Row(dataset: String, task: String, system: String, seconds: Double,
                        note: String = "")
 
-  def lrFeatures(ds: SchemaDataset): (Seq[String], Seq[String]) =
-    (ds.continuous, ds.categorical)
-
   def compute(spark: SparkSession, sf: Double = Workloads.benchSf,
               datasets: Seq[SchemaDataset] = Seq(Retailer, Favorita)): Seq[Row] =
     datasets.flatMap { ds =>
       val (dfs, sizes) = Workloads.loadPersisted(spark, ds, sf)
       val rows = scala.collection.mutable.ArrayBuffer[Row]()
-      val (cont, cat) = lrFeatures(ds)
+      val (cont, cat) = (ds.continuous, ds.categorical)
 
-      // --- data-prep rows (the paper's PSQL steps, in Spark) ---
-      val joined = FlatJoinService.fullJoin(ds.tree, dfs)
-      val (_, tJoin) = Timing.timed {
-        joined.persist(StorageLevel.MEMORY_AND_DISK).count()
+      // --- data-prep rows, and SGD over the shuffled export ---
+      val (joined, prep, (mSgd, tSgd)) = Workloads.prepJoin(ds.tree, dfs, shuffle = true) { exported =>
+        val shuffled = exported.get.persist(StorageLevel.MEMORY_AND_DISK)
+        shuffled.count()
+        try Timing.timed { LinearRegression.sgdOneEpoch(shuffled, cont, ds.label) }
+        finally shuffled.unpersist(blocking = false)
       }
-      rows += Row(ds.name, "prep", "Join (materialize)", tJoin)
-
-      val tmp = Files.createTempDirectory("repro-export").toString
-      val (_, tShuffle) = Timing.timed {
-        joined.orderBy(rand(7)).write.mode("overwrite").parquet(s"$tmp/shuffled")
-      }
-      rows += Row(ds.name, "prep", "Join Shuffle+Export", tShuffle)
-      val (_, tExport) = Timing.timed {
-        joined.write.mode("overwrite").parquet(s"$tmp/export")
-      }
-      rows += Row(ds.name, "prep", "Join Export", tExport)
+      rows ++= prep.map { case (step, t) => Row(ds.name, "prep", step, t) }
 
       // --- linear regression ---
-      val shuffled = spark.read.parquet(s"$tmp/shuffled").persist(StorageLevel.MEMORY_AND_DISK)
-      shuffled.count()
-      val (mSgd, tSgd) = Timing.timed {
-        LinearRegression.sgdOneEpoch(shuffled, cont, ds.label)
-      }
       rows += Row(ds.name, "LR", "SGD 1 epoch (TF proxy)", tSgd,
         f"rmse=${mSgd.rmse(joined)}%.3f")
-      shuffled.unpersist(blocking = false)
 
       val (mMad, tMad) = Timing.timed {
         // MADlib computes over the non-materialized view: fresh uncached join.

@@ -1,8 +1,6 @@
 package repro.tables
 
-import java.nio.file.Files
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
 import repro.apps._
 import repro.core._
 import repro.datasets.TpcDs
@@ -20,12 +18,8 @@ object Table5 {
     val (dfs, sizes) = Workloads.loadPersisted(spark, ds, sf)
     val rows = scala.collection.mutable.ArrayBuffer[Row]()
 
-    val joined = FlatJoinService.fullJoin(ds.tree, dfs)
-    val (_, tJoin) = Timing.timed { joined.persist(StorageLevel.MEMORY_AND_DISK).count() }
-    rows += Row("prep", "Join (materialize)", tJoin)
-    val tmp = Files.createTempDirectory("repro-export-t5").toString
-    val (_, tExport) = Timing.timed { joined.write.mode("overwrite").parquet(s"$tmp/export") }
-    rows += Row("prep", "Join Export", tExport)
+    val (joined, prep, _) = Workloads.prepJoin(ds.tree, dfs, shuffle = false)(_ => ())
+    rows ++= prep.map { case (step, t) => Row("prep", step, t) }
 
     val cont = ds.continuous
     val cat  = ds.categorical.filterNot(_ == ds.classLabel)

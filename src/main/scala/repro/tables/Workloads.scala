@@ -1,5 +1,8 @@
 package repro.tables
 
+import java.nio.file.{Files, Path}
+import java.util.Comparator
+import scala.util.Using
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
@@ -108,6 +111,33 @@ object Workloads {
     */
   def drain(out: Map[String, DataFrame]): Long =
     out.values.map(_.collect().length.toLong).sum
+
+  /** The paper's PSQL data-prep steps (Tables 4–5), in Spark: materialize
+    * the full join, then export a randomly shuffled copy (when `shuffle`)
+    * and a plain copy as parquet. The copies live in a temporary directory
+    * only while `use` runs; `use` gets the shuffled copy read back. The
+    * directory is deleted afterwards, and on failure the join is unpersisted.
+    * Returns the persisted join (the caller unpersists it), the timed steps
+    * and `use`'s result.
+    */
+  def prepJoin[A](tree: JoinTree, dfs: Map[String, DataFrame], shuffle: Boolean)
+                 (use: Option[DataFrame] => A): (DataFrame, Seq[(String, Double)], A) = {
+    val joined = FlatJoinService.fullJoin(tree, dfs)
+    val (_, tJoin) = Timing.timed { joined.persist(StorageLevel.MEMORY_AND_DISK).count() }
+    val dir = Files.createTempDirectory("repro-export")
+    try {
+      val shuffled = Option.when(shuffle) {
+        Timing.timed { joined.orderBy(rand(7)).write.parquet(s"$dir/shuffled") }._2
+      }
+      val (_, tExport) = Timing.timed { joined.write.parquet(s"$dir/export") }
+      val steps = Seq("Join (materialize)" -> tJoin) ++
+        shuffled.map("Join Shuffle+Export" -> _) :+ ("Join Export" -> tExport)
+      (joined, steps, use(shuffled.map(_ => joined.sparkSession.read.parquet(s"$dir/shuffled"))))
+    } catch { case e: Throwable => joined.unpersist(blocking = false); throw e }
+    finally Using.resource(Files.walk(dir)) { paths =>
+      paths.sorted(Comparator.reverseOrder[Path]()).forEach(Files.delete(_))
+    }
+  }
 
   /** Evaluate a batch per-query through the baseline, timing the whole run.
     * When `sampleCap` < number of queries, only an evenly-spaced sample is

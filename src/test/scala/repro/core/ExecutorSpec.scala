@@ -145,19 +145,14 @@ class ExecutorSpec extends SparkSpec {
     svc.close()
   }
 
-  test("merge case (1) executor machinery: aggregates with different bodies in one view") {
-    // Hand-built plan (the planner cannot produce this with unary factors,
-    // see PlannerSpec): one output view at A whose two aggregates join
-    // different incoming views — the executor must compute per-body partials
-    // and join them on the group-by attributes (Example 3.4's W_T).
-    import spark.implicits._
+  test("a hand-built plan whose view mixes bodies is rejected") {
+    // Merge case (1) of Example 3.4: one output view at A whose two
+    // aggregates join different incoming views. The planner cannot produce
+    // it with unary factors (PlannerSpec), and the executor computes each
+    // view as one pass over one body, so the plan must not be built.
     val t = JoinTree(
       Seq(Relation("A", Seq("k", "x")), Relation("B", Seq("k", "y")), Relation("C", Seq("k", "z"))),
       Seq("A" -> "B", "A" -> "C"))
-    val dfs = Map(
-      "A" -> Seq((1, 2), (2, 3)).toDF("k", "x"),
-      "B" -> Seq((1, 10), (1, 20), (2, 30)).toDF("k", "y"),
-      "C" -> Seq((1, 5), (2, 6), (2, 7)).toDF("k", "z"))
     val vB = new ViewSpec(0, "B", Some("A"), Seq("k"))
     vB.aggs += ViewAgg("a0", Seq(Att("y")), Seq.empty)          // SUM(y) per k
     val vC = new ViewSpec(1, "C", Some("A"), Seq("k"))
@@ -167,14 +162,10 @@ class ExecutorSpec extends SparkSpec {
     out.aggs += ViewAgg("a1", Seq(Att("x")), Seq(AggRef(1, "a0"))) // body: A ⋈ V_C
     assert(out.aggs.map(_.signature).distinct.size == 2)
     val q = AggQuery("w", Seq("k"), Seq(NamedAgg("s1", Nil), NamedAgg("s2", Nil)))
-    val plan = Plan(t, IndexedSeq(vB, vC, out),
-      Seq(OutputSpec(q, 2, Seq("s1" -> "a0", "s2" -> "a1"))), Map("w" -> "A"))
-    val res = new Executor(dfs).run(plan)
-    val got = res.outputs("w").collect().map(r => (r.getInt(0), r.getDouble(1), r.getDouble(2)))
-      .sortBy(_._1).toSeq
-    // k=1: x=2, SUM(y)=30, SUM(z)=5 → (60, 10); k=2: x=3, SUM(y)=30, SUM(z)=13 → (90, 39)
-    assert(got == Seq((1, 60.0, 10.0), (2, 90.0, 39.0)))
-    res.close()
+    intercept[IllegalArgumentException] {
+      Plan(t, IndexedSeq(vB, vC, out),
+        Seq(OutputSpec(q, 2, Seq("s1" -> "a0", "s2" -> "a1"))), Map("w" -> "A"))
+    }
   }
 
   /** Runs `body` and returns its result with the number of Spark jobs it

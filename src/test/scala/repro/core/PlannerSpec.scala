@@ -99,8 +99,8 @@ class PlannerSpec extends AnyFunSuite {
     // this reproduction, bodies inside one (edge, group-by) view are always
     // identical, so case-1 merging can never trigger from the planner: a
     // query grouping by city legitimately refines the view's group-by and
-    // must stay a separate view. (The executor's per-signature machinery for
-    // case 1 is exercised directly in ExecutorSpec.)
+    // must stay a separate view. (ExecutorSpec checks that a hand-built plan
+    // with such a view is rejected.)
     val q1 = AggQuery("q1", Seq.empty, Seq(NamedAgg("a", Seq(Att("oilprize")))))
     val q3 = AggQuery("q3", Seq("city"), Seq(NamedAgg("a", Seq(Att("txns")))))
     val plan = Planner.planBatch(Favorita.tree, Seq(q1, q3), forcedRoot = Some("Sales"))
@@ -118,6 +118,44 @@ class PlannerSpec extends AnyFunSuite {
     val unmerged = Planner.planBatch(Favorita.tree, qs, merge = false, forcedRoot = Some("Sales"))
     assert(merged.views.size == 6)          // shared across the 3 identical queries
     assert(unmerged.views.size == 3 * 6)    // 3 × (5 edges + output)
+    // A query with several aggregates keeps one view per edge plus its
+    // output, not one per aggregate and edge.
+    val multi = AggQuery("m", Seq("family"), Seq(NamedAgg("c", Nil),
+      NamedAgg("s", Seq(Att("txns"))), NamedAgg("p", Seq(Att("oilprize"), Att("unitsales")))))
+    val perQuery = Planner.planBatch(Favorita.tree, Seq(multi, AggQuery.count("q")),
+      merge = false, forcedRoot = Some("Sales"))
+    assert(perQuery.views.size == 2 * 6)
+    assert(perQuery.views.filter(_.from == "Oil").map(_.aggs.size).sorted == Seq(1, 2))
+  }
+
+  test("every view has one body, merged or not, on every application batch") {
+    import repro.apps.{CovarMatrix, DataCube, DecisionTree, MutualInformation}
+    import repro.datasets.{SchemaDataset, TpcDs, Yelp}
+    for (ds <- Seq[SchemaDataset](Retailer, Favorita, Yelp, TpcDs)) {
+      val cont = ds.continuous.filterNot(_ == ds.label)
+      val thr  = cont.map(_ -> Seq(1.0, 5.0, 20.0)).toMap
+      val (c1, c2, k1) = (cont.head, cont(1 % cont.size), ds.categorical.head)
+      // A depth-2 level of three open nodes, with synthetic conditions.
+      val level = Seq(
+        3 -> Seq(Ind(c1, "<=", "15.0"), Ind(c2, "<=", "5.0")),
+        4 -> Seq(Ind(c1, "<=", "15.0"), Ind(c2, ">", "5.0")),
+        5 -> Seq(Ind(c1, ">", "15.0"), Ind(k1, "=", "x", numeric = false)))
+      val batches = Seq(
+        "covar" -> CovarMatrix.batch(ds.continuous, ds.categorical),
+        "MI"    -> MutualInformation.batch(ds.miAttrs),
+        "cube"  -> DataCube.batch(ds.cubeDims, ds.cubeMeasures),
+        "RT"    -> DecisionTree.levelBatch(Seq(0 -> Seq.empty), cont, ds.categorical, ds.label,
+          classification = false, thr, level = 0),
+        "CART"  -> DecisionTree.levelBatch(level, cont, ds.categorical, ds.label,
+          classification = false, thr, level = 2))
+      for ((name, batch) <- batches; merge <- Seq(true, false)) {
+        val plan = Planner.planBatch(ds.tree, batch, merge = merge)
+        for (v <- plan.views) {
+          val bodies = v.aggs.map(_.signature).distinct.size
+          assert(bodies == 1, s"${ds.name} $name merge=$merge: $v")
+        }
+      }
+    }
   }
 
   test("merge case (3) dedup keeps each view's aggregates distinct and named a0, a1, ... in order") {
