@@ -26,7 +26,8 @@ import repro.core._
   * The candidate conditions change between iterations with the data — the
   * paper's *dynamic functions*. Here each iteration plans fresh literal
   * Catalyst expressions (the analogue of recompiling the small dynamic C++
-  * file).
+  * file), and only they change: through [[LmfaoService]] each level reuses
+  * the previous level's cached views that none of its new conditions reach.
   *
   * The same driver runs against LMFAO or the flat-join baseline through
   * [[AggService]], so the two systems are split-for-split comparable.

@@ -11,12 +11,20 @@ trait AggService {
     * query's group-by attributes followed by its aggregates (query names).
     */
   def run(batch: Seq[AggQuery]): Map[String, DataFrame]
-  /** Release any cached state from the last batch. */
+  /** Release what the batches since the last close cached. */
   def close(): Unit = ()
 }
 
 /** The LMFAO engine end-to-end: plan (roots → pushdown → merge → group) and
   * translate the plan into lazily evaluated, partly persisted DataFrames.
+  *
+  * A batch's cached views outlive it: the next `run` hands the previous
+  * result to [[Executor.run]], which keeps the views the new plan computes
+  * again and releases the rest. Consecutive batches that differ only in some
+  * conditions (CART's levels, the paper's dynamic functions) thus read the
+  * unchanged views from Spark's cache instead of recomputing them. Outputs
+  * of an earlier batch stay valid but may no longer read a cache. `close()`
+  * releases everything.
   *
   * @param merge      false = unshared views (AC/DC-style ablation)
   * @param multiRoot  false = force every query to root at the largest
@@ -37,8 +45,10 @@ final class LmfaoService(spark: SparkSession, tree: JoinTree, dfs: Map[String, D
   }
 
   def run(batch: Seq[AggQuery]): Map[String, DataFrame] = {
-    close()
-    val res = new Executor(dfs).run(planOnly(batch))
+    val previous = last
+    last = None
+    val res = try new Executor(dfs).run(planOnly(batch), previous)
+              catch { case e: Throwable => previous.foreach(_.close()); throw e }
     last = Some(res)
     res.outputs
   }

@@ -7,10 +7,25 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 
 /** Result of executing a plan: the per-query outputs and every frame the
-  * executor persisted for it. Call [[close]] to unpersist them.
+  * executor persisted or adopted for it. Call [[close]] to unpersist them.
   */
 final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[DataFrame]) {
-  def close(): Unit = persisted.foreach(_.unpersist(blocking = false))
+  private var held = persisted
+
+  /** The frames of [[persisted]] this result still owns: all of them until
+    * a later run takes them over or [[close]] releases them.
+    */
+  private[core] def owned: Seq[DataFrame] = held
+
+  /** Gives `kept` to a later result and releases the rest of the owned
+    * frames; afterwards this result owns nothing.
+    */
+  private[core] def handOver(kept: Seq[DataFrame]): Unit = {
+    held.filterNot(f => kept.exists(_ eq f)).foreach(_.unpersist(blocking = false))
+    held = Nil
+  }
+
+  def close(): Unit = handOver(Nil)
 }
 
 /** The Group Views + Multi-Output Optimization + Parallelization layers
@@ -31,6 +46,13 @@ final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[D
   *
   * Shared views and bases are persisted but not forced: the first job that
   * reads one fills Spark's cache, and later jobs read the cached blocks.
+  * Given the `previous` result, a frame to persist whose plan one of
+  * `previous`'s frames already caches (`sameSemantics`, the `sameResult`
+  * test Spark's cache lookup uses) is adopted instead: the new frame reads
+  * that cache entry, and the entry now belongs to the new result. `run`
+  * releases `previous`'s other frames before it returns and leaves
+  * `previous` owning nothing, so the cache never holds more than the larger
+  * of the two results' frames.
   * The view groups of [[Plan.groups]] are a planning statistic (Table 2's
   * G); parallelism is Spark's partition parallelism within each job.
   */
@@ -49,7 +71,7 @@ final class Executor(dfs: Map[String, DataFrame]) {
     if (cols.isEmpty) lit(1.0d) else cols.reduce(_ * _)
   }
 
-  def run(plan: Plan): ExecResult = {
+  def run(plan: Plan, previous: Option[ExecResult] = None): ExecResult = {
     // Sharing analysis: a view consumed by more than one other view (or by a
     // consumer *and* the application) is persisted — that is exactly the
     // computation LMFAO shares. Single-consumer views stay lazy and fuse
@@ -68,11 +90,17 @@ final class Executor(dfs: Map[String, DataFrame]) {
 
     // Spark's cache is keyed by plan: a frame whose plan another live result
     // already cached reads that entry, and only this run's own entries are
-    // released by close().
+    // released by close(). `previous`'s entries are adopted instead.
+    val reusable  = mutable.ArrayBuffer.from(previous.toSeq.flatMap(_.owned))
     val persisted = mutable.ArrayBuffer[DataFrame]()
-    def persist(df: DataFrame): DataFrame =
-      if (df.storageLevel != StorageLevel.NONE) df
-      else { persisted += df.persist(StorageLevel.MEMORY_AND_DISK); df }
+    def persist(df: DataFrame): DataFrame = {
+      reusable.indexWhere(_.sameSemantics(df)) match {
+        case -1 if df.storageLevel != StorageLevel.NONE =>
+        case -1 => persisted += df.persist(StorageLevel.MEMORY_AND_DISK)
+        case i  => persisted += reusable.remove(i)
+      }
+      df
+    }
 
     val bases = mutable.Map[(String, Seq[Int]), DataFrame]()
     val views = mutable.Map[Int, DataFrame]()
@@ -103,6 +131,8 @@ final class Executor(dfs: Map[String, DataFrame]) {
 
     // Everything persisted stays cached until close(): the application's
     // output actions are what fill and read it.
-    new ExecResult(outputs, persisted.toSeq)
+    val own = persisted.toSeq
+    previous.foreach(_.handOver(own))
+    new ExecResult(outputs, own)
   }
 }

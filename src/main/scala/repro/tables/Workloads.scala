@@ -41,8 +41,7 @@ object Workloads {
     val dfs = ds.load(spark, sf).map { case (n, df) =>
       n -> df.persist(StorageLevel.MEMORY_AND_DISK)
     }
-    val sizes = dfs.map { case (n, df) => n -> df.count() }
-    (dfs, sizes)
+    (dfs, ds.sizes(dfs))
   }
 
   /** The single count query (Table 3's calibration row). */

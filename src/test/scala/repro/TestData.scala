@@ -28,8 +28,7 @@ object TestData {
 
   def sizes(ds: SchemaDataset, spark: SparkSession, sf: Double = SF): Map[String, Long] =
     synchronized {
-      sizeCache.getOrElseUpdate((ds.name, sf),
-        dfs(ds, spark, sf).map { case (n, df) => n -> df.count() })
+      sizeCache.getOrElseUpdate((ds.name, sf), ds.sizes(dfs(ds, spark, sf)))
     }
 
   /** Oracle table list for a dataset: every relation by name. */

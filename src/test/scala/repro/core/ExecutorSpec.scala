@@ -251,6 +251,86 @@ class ExecutorSpec extends SparkSpec {
     assert(first.persisted.forall(_.storageLevel == StorageLevel.NONE))
   }
 
+  /** Collected rows of a frame as sorted strings, for row-for-row equality. */
+  def rowsOf(df: org.apache.spark.sql.DataFrame): Seq[String] =
+    df.collect().map(_.toSeq.map(String.valueOf).mkString("|")).sorted.toSeq
+
+  /** The split of the CART level tests below. Each dataset's other
+    * persisted views carry no condition on it; on Retailer every other
+    * relation's conditions reach both persisted views.
+    */
+  val splitAttr: Map[SchemaDataset, String] =
+    Map(Retailer -> "maxtemp", Favorita -> "txns", Yelp -> "useful", TpcDs -> "d_year")
+
+  for (ds <- datasets) {
+    test(s"${ds.name}: a CART level batch adopts the previous level's cached views") {
+      import org.apache.spark.storage.StorageLevel
+      import repro.apps.DecisionTree
+      val dfs   = TestData.dfs(ds, spark)
+      // One continuous feature per relation, so views of every relation
+      // carry conditions.
+      val all   = ds.continuous.filterNot(_ == ds.label)
+      val cont  = ds.tree.relations.flatMap(r => all.find(r.attrSet.contains)).take(4)
+      val cat   = ds.categorical.take(2)
+      val thr   = DecisionTree.bucketThresholds(dfs, ds.tree, cont, buckets = 4)
+      def level(nodes: Seq[(Int, Seq[Fx])], depth: Int) =
+        DecisionTree.levelBatch(nodes, cont, cat, ds.label, classification = false, thr, depth)
+      // Depth 0 is the root alone; depth 1 its two children under a real
+      // threshold, as CART expands them.
+      val a      = splitAttr(ds)
+      assert(cont.contains(a))
+      val t      = thr(a)(thr(a).size / 2).toString
+      val batch2 = level(Seq(1 -> Seq(Ind(a, "<=", t)), 2 -> Seq(Ind(a, ">", t))), 1)
+      val planner = new LmfaoService(spark, ds.tree, dfs, TestData.sizes(ds, spark))
+      val plan2   = planner.planOnly(batch2)
+
+      val res1 = new Executor(dfs).run(planner.planOnly(level(Seq(0 -> Seq.empty), 0)))
+      res1.outputs.values.foreach(_.collect())
+      val frames1 = res1.persisted
+      val (res2, jobs) = jobsStartedBy(new Executor(dfs).run(plan2, Some(res1)))
+      assert(jobs == 0, s"run started $jobs Spark jobs")
+      val frames2 = res2.persisted
+      val adopted = frames1.filter(f => frames2.exists(_ eq f))
+      assert(adopted.nonEmpty, s"none of ${frames1.size} frames adopted")
+      assert(frames1.filterNot(f => adopted.exists(_ eq f)).forall(_.storageLevel == StorageLevel.NONE))
+      assert(frames2.forall(_.storageLevel != StorageLevel.NONE))
+
+      val fresh = new Executor(dfs).run(plan2)
+      for (q <- batch2) {
+        assert(rowsOf(res2.outputs(q.name)) == rowsOf(fresh.outputs(q.name)), s"query ${q.name}")
+        Oracle.assertEquivalent(res2.outputs(q.name), SqlGen.querySql(ds.tree, q),
+          TestData.tables(ds, spark): _*)
+      }
+      fresh.close()
+      res1.close()
+      assert(frames2.forall(_.storageLevel != StorageLevel.NONE))
+      res2.close()
+      assert((frames1 ++ frames2).forall(_.storageLevel == StorageLevel.NONE))
+    }
+  }
+
+  test("a batch that fails to plan releases the previous batch's views") {
+    import org.apache.spark.storage.StorageLevel
+    val ds    = Favorita
+    val dfs   = TestData.dfs(ds, spark)
+    val batch = representativeBatch(ds)
+    val svc   = new LmfaoService(spark, ds.tree, dfs, TestData.sizes(ds, spark))
+    // Frames with the plans the service persists: a frame's storage level is
+    // looked up by its plan, so they show whether the service's copies are
+    // cached.
+    val probe  = new Executor(dfs).run(svc.planOnly(batch))
+    val frames = probe.persisted
+    probe.close()
+    assert(frames.nonEmpty)
+    svc.run(batch)
+    assert(frames.forall(_.storageLevel != StorageLevel.NONE))
+    intercept[IllegalArgumentException] {
+      svc.run(Seq(AggQuery("bad", Seq("no_such_attribute"), Seq(NamedAgg("cnt", Nil)))))
+    }
+    assert(frames.forall(_.storageLevel == StorageLevel.NONE))
+    svc.close()
+  }
+
   test("multiple aggregates over one view keep independent columns") {
     val ds  = Favorita
     val dfs = TestData.dfs(ds, spark)
