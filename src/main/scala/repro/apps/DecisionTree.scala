@@ -40,8 +40,6 @@ object DecisionTree {
   final case class Split(attr: String, isCat: Boolean, value: String, threshold: Double) {
     def leftFx: Fx  = if (isCat) Ind(attr, "=", value, numeric = false) else Ind(attr, "<=", threshold.toString)
     def rightFx: Fx = if (isCat) Ind(attr, "<>", value, numeric = false) else Ind(attr, ">", threshold.toString)
-    def leftCol: Column = if (isCat) col(attr).cast("string") === value
-                          else col(attr).cast("double") <= threshold
     override def toString: String =
       if (isCat) s"$attr = $value" else s"$attr <= $threshold"
   }
@@ -96,7 +94,7 @@ object DecisionTree {
     def predictionCol: Column = {
       def rec(n: Node): Column = n.split match {
         case None => if (classification) lit(n.prediction) else lit(n.prediction.toDouble)
-        case Some(s) => when(s.leftCol, rec(n.left.get)).otherwise(rec(n.right.get))
+        case Some(s) => when(s.leftFx.toCol === 1.0, rec(n.left.get)).otherwise(rec(n.right.get))
       }
       rec(root)
     }

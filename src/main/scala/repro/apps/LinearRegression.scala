@@ -121,14 +121,13 @@ object LinearRegression {
         (x, r.getDouble(feats.size))
       }
     // One pass: accumulate per-partition gradient updates batch by batch.
-    val theta = new Array[Double](d)
-    val parts = rows.mapPartitionsWithIndex { case (_, it) =>
+    val parts = rows.mapPartitions { it =>
       val local = new Array[Double](d)
       var grad  = new Array[Double](d)
       var nInBatch = 0L
       var step = step0
       for ((x, y) <- it) {
-        val err = LinAlg.dot(local, x) + LinAlg.dot(theta, x) - y
+        val err = LinAlg.dot(local, x) - y
         var i = 0
         while (i < d) { grad(i) += err * x(i); i += 1 }
         nInBatch += 1
@@ -145,7 +144,7 @@ object LinearRegression {
       Iterator.single(local)
     }.collect()
     // Average the per-partition updates (parameter-averaging SGD).
-    val avgd = Array.tabulate(d)(i => theta(i) + parts.map(_(i)).sum / parts.length)
+    val avgd = Array.tabulate(d)(i => parts.map(_(i)).sum / parts.length)
     Model(FeatureIdx.Intercept +: feats.map(FeatureIdx.Cont), avgd, label)
   }
 }

@@ -5,8 +5,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 /** A batch-of-aggregates evaluator: the interface the applications (linear
   * regression, CART, mutual information, data cubes) program against, so the
   * LMFAO engine and the flat-join baselines run identical application logic.
+  * Closing it releases what it cached, so `Using.resource` frees a service
+  * on every exit path.
   */
-trait AggService {
+trait AggService extends AutoCloseable {
   /** Evaluate a batch; returns one DataFrame per query, whose columns are the
     * query's group-by attributes followed by its aggregates (query names).
     */

@@ -31,15 +31,15 @@ final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[D
 /** The Group Views + Multi-Output Optimization + Parallelization layers
   * (§§3.4–3.5), mapped to Catalyst.
   *
-  * `run` translates a plan into DataFrames and starts no Spark job. Each
-  * view is built on first use, children first:
+  * `run` translates a plan into DataFrames and starts no Spark job. It
+  * builds the views in one pass in id order, which the [[Plan]] guarantees
+  * is children first:
   *
   *  - each distinct *body* — the relation natural-joined with one set of
   *    incoming views — is built once and cached when more than one view is
   *    computed over it: the Spark analogue of the paper's single shared trie
   *    scan over the common relation;
-  *  - every view has one body ([[ViewSpec.body]]; merge case (1) cannot
-  *    arise with unary factors) and is one multi-aggregate
+  *  - every view has one body ([[ViewSpec.body]]) and is one multi-aggregate
   *    `groupBy().agg(...)` pass over it, so all its aggregates share the scan
   *    (Catalyst whole-stage codegen compiles the pass to specialized
   *    bytecode — the Compilation layer analogue).
@@ -66,8 +66,8 @@ final class Executor(dfs: Map[String, DataFrame]) {
 
   private def aggColName(viewId: Int, aggName: String): String = s"v${viewId}_$aggName"
 
-  private def productCol(a: ViewAgg): Column = {
-    val cols = a.local.map(_.toCol) ++ a.children.map(r => col(aggColName(r.view, r.agg)))
+  private def productCol(v: ViewSpec, a: ViewAgg): Column = {
+    val cols = a.local.map(_.toCol) ++ v.body.lazyZip(a.children).map((id, agg) => col(aggColName(id, agg)))
     if (cols.isEmpty) lit(1.0d) else cols.reduce(_ * _)
   }
 
@@ -103,30 +103,24 @@ final class Executor(dfs: Map[String, DataFrame]) {
     }
 
     val bases = mutable.Map[(String, Seq[Int]), DataFrame]()
-    val views = mutable.Map[Int, DataFrame]()
+    val views = mutable.ArrayBuffer[DataFrame]()
 
     def baseFor(from: String, body: Seq[Int]): DataFrame =
       bases.getOrElseUpdate((from, body), {
-        val b = body.foldLeft(dfs(from))((acc, vid) => natJoin(acc, view(vid)))
+        val b = body.foldLeft(dfs(from))((acc, vid) => natJoin(acc, views(vid)))
         if (bodyUse((from, body)) > 1 && body.nonEmpty) persist(b) else b
       })
 
-    def compute(v: ViewSpec): DataFrame = {
-      val aggCols = v.aggs.toSeq.map(a => sum(productCol(a)).as(aggColName(v.id, a.name)))
-      baseFor(v.from, v.body).groupBy(v.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
+    for (v <- plan.views) {
+      val aggCols = v.aggs.toSeq.map(a => sum(productCol(v, a)).as(aggColName(v.id, a.name)))
+      val df = baseFor(v.from, v.body).groupBy(v.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
+      views += (if (shouldPersist(v.id)) persist(df) else df)
     }
-
-    // Planner ids are not in dependency order, so views are built by
-    // recursion from the outputs rather than by a pass over the ids.
-    def view(id: Int): DataFrame = views.getOrElseUpdate(id, {
-      val df = compute(plan.views(id))
-      if (shouldPersist(id)) persist(df) else df
-    })
 
     val outputs = plan.outputs.map { o =>
       val cols = o.query.groupBy.map(col) ++
         o.aggNames.map { case (qName, vName) => col(aggColName(o.view, vName)).as(qName) }
-      o.query.name -> view(o.view).select(cols: _*)
+      o.query.name -> views(o.view).select(cols: _*)
     }.toMap
 
     // Everything persisted stays cached until close(): the application's

@@ -30,8 +30,7 @@ final class FlatJoinService(spark: SparkSession, tree: JoinTree, dfs: Map[String
   /** Evaluate a single query over the join. */
   def runOne(q: AggQuery): DataFrame = {
     val aggCols = q.aggs.map(a => sum(a.productCol).as(a.name))
-    if (q.groupBy.isEmpty) joined.agg(aggCols.head, aggCols.tail: _*)
-    else joined.groupBy(q.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
+    joined.groupBy(q.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
   }
 
   def run(batch: Seq[AggQuery]): Map[String, DataFrame] =

@@ -2,32 +2,26 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Reference to one aggregate column of one view: `(view id, aggregate name)`. */
-final case class AggRef(view: Int, agg: String)
-
 /** One aggregate carried by a view: the product of `local` factors (evaluated
-  * on the view's own relation) and the aggregate columns of incoming child
-  * views (`children`). The executor computes `SUM(local_1 * ... * child_1 * ...)`.
-  *
-  * The child views referenced (the *signature*) name the aggregate's body:
-  * the view's relation joined with those views. With unary factors every
-  * aggregate of a view has the same signature, so the paper's merge case (1)
-  * — one view over different bodies, which needs a binary UDAF such as
-  * h(txns, city) — cannot arise, and [[Plan]] rejects a view that mixes bodies.
+  * on the view's own relation) and one aggregate column of each view of the
+  * body: `children(i)` names an aggregate of view `body(i)` of the owning
+  * [[ViewSpec]]. The executor computes `SUM(local_1 * ... * child_1 * ...)`.
   */
-final case class ViewAgg(name: String, local: Seq[Fx], children: Seq[AggRef]) {
-  def signature: Seq[Int] = children.map(_.view).distinct.sorted
-}
+final case class ViewAgg(name: String, local: Seq[Fx], children: Seq[String])
 
 /** A (merged) directional view (§3.2): flows `from` → `to` along a join-tree
   * edge, or is a query output view rooted at `from` when `to` is None.
-  * Aggregates accumulate across the batch (merge cases 2 and 3).
+  *
+  * Its one body is `from` natural-joined with the views `body`, in id order
+  * and all planned before it (smaller ids); every aggregate reads that body. One view
+  * over different bodies — the paper's merge case (1), which needs a binary
+  * UDAF such as h(txns, city) — therefore cannot be represented; with unary
+  * factors it never arises. Aggregates accumulate across the batch (merge
+  * cases 2 and 3).
   */
 final class ViewSpec(val id: Int, val from: String, val to: Option[String],
-                     val groupBy: Seq[String]) {
+                     val groupBy: Seq[String], val body: Seq[Int]) {
   val aggs: mutable.ArrayBuffer[ViewAgg] = mutable.ArrayBuffer.empty
-  /** The views joined with `from` to form this view's one body. */
-  def body: Seq[Int] = aggs.headOption.fold(Seq.empty[Int])(_.signature)
   def direction: String = to.map(t => s"$from->$t").getOrElse(s"$from (root)")
   override def toString: String =
     s"V$id[$direction](${groupBy.mkString(",")}; ${aggs.size} aggs)"
@@ -45,23 +39,24 @@ final case class PlanStats(appAggs: Int, intermediateAggs: Int, views: Int, grou
   override def toString: String = s"A=$appAggs I=$intermediateAggs V=$views G=$groups"
 }
 
-/** The fully planned batch. */
+/** The fully planned batch. View ids are a topological order of the view
+  * DAG: `views(i)` has id `i` and its body lists only smaller ids, so a pass
+  * in id order meets every view after the views it reads.
+  */
 final case class Plan(tree: JoinTree, views: IndexedSeq[ViewSpec], outputs: Seq[OutputSpec],
                       roots: Map[String, String]) {
-  for (v <- views)
-    require(v.aggs.forall(_.signature == v.body), s"$v mixes bodies ${v.aggs.map(_.signature).distinct}")
-
-  /** Longest-path depth of each view in the view-dependency DAG (leaves = 0).
-    * A view only depends on views of strictly smaller depth.
-    */
-  lazy val depths: Map[Int, Int] = {
-    val memo = mutable.Map[Int, Int]()
-    def d(id: Int): Int = memo.getOrElseUpdate(id, {
-      val kids = views(id).body
-      if (kids.isEmpty) 0 else kids.map(d).max + 1
-    })
-    views.foreach(v => d(v.id)); memo.toMap
+  for ((v, i) <- views.zipWithIndex) {
+    require(v.id == i, s"$v is at index $i")
+    require(v.body.forall(b => 0 <= b && b < i), s"$v reads views ${v.body} not planned before it")
+    require(v.aggs.forall(_.children.size == v.body.size),
+      s"$v has an aggregate that does not name one child aggregate per body view")
   }
+
+  /** Longest-path depth of each view in the view-dependency DAG, by id
+    * (leaves = 0). A view only depends on views of strictly smaller depth.
+    */
+  lazy val depths: IndexedSeq[Int] =
+    views.foldLeft(Vector.empty[Int])((d, v) => d :+ v.body.map(d).maxOption.fold(0)(_ + 1))
 
   /** View groups (§3.4): views out of the same node at the same dependency
     * depth. Within a group no view depends on another (they share a depth in
@@ -89,6 +84,9 @@ final case class Plan(tree: JoinTree, views: IndexedSeq[ViewSpec], outputs: Seq[
   }
 }
 
+/** Reference to one aggregate column of one view: `(view id, aggregate name)`. */
+private final case class AggRef(view: Int, agg: String)
+
 /** The Aggregate Pushdown + Merge Views layers (§§3.2–3.4).
   *
   * For a query `Q(F; a)` rooted at S with children C_1..C_k, each product
@@ -97,33 +95,45 @@ final case class Plan(tree: JoinTree, views: IndexedSeq[ViewSpec], outputs: Seq[
   * partial product of the factors whose attributes live in the subtree T_i
   * (recursively decomposed the same way). Factors over attributes of S stay
   * local; every child contributes at least a count (join multiplicity).
+  * A view's children are planned before it, so view ids are a topological
+  * order of the view DAG.
   *
-  * Merging: views are memoized by (scope, node, direction, group-by) and
-  * identical aggregates of a view are deduplicated — cases (3) and (2).
-  * Case (1) cannot arise with unary factors (see [[ViewAgg]]). The scope is
+  * Merging: views are memoized by (scope, node, direction, group-by, body)
+  * and identical aggregates of a view are deduplicated — cases (3) and (2).
+  * Case (1) cannot arise with unary factors (see [[ViewSpec]]). The scope is
   * empty with `merge = true` (default), so views are shared across the
   * batch; with `merge = false` it is the query name, so each query keeps its
   * own views, one per edge plus its output: the unshared AC/DC-style ablation.
   */
-final class Planner(val tree: JoinTree, val merge: Boolean = true) {
+private final class Planner(tree: JoinTree, merge: Boolean) {
   private val specs = mutable.ArrayBuffer[ViewSpec]()
-  private val memo  = mutable.Map[(Option[String], String, Option[String], Seq[String]), Int]()
+  private val memo  = mutable.Map[(Option[String], String, Option[String], Seq[String], Seq[Int]), Int]()
   private val outs  = mutable.ArrayBuffer[OutputSpec]()
   /** Aggregate name by (view id, local, children): merge case (3) lookups in
     * constant time, so planning stays linear in the width of a view.
     */
-  private val aggIndex = mutable.HashMap[(Int, Seq[Fx], Seq[AggRef]), String]()
+  private val aggIndex = mutable.HashMap[(Int, Seq[Fx], Seq[String]), String]()
 
   private def specFor(scope: Option[String], node: String, to: Option[String],
-                      gb: Seq[String]): ViewSpec =
-    specs(memo.getOrElseUpdate((scope, node, to, gb), {
-      val s = new ViewSpec(specs.size, node, to, gb); specs += s; s.id
+                      gb: Seq[String], body: Seq[Int]): ViewSpec =
+    specs(memo.getOrElseUpdate((scope, node, to, gb, body), {
+      val s = new ViewSpec(specs.size, node, to, gb, body); specs += s; s.id
     }))
 
-  private def addAgg(spec: ViewSpec, local: Seq[Fx], children: Seq[AggRef]): String =
-    aggIndex.getOrElseUpdate((spec.id, local, children), {  // merge case (3)
+  /** Plans the views from the neighbours of `node` other than `parent`, then
+    * adds the aggregate over them to the view at `node`.
+    */
+  private def addAgg(scope: Option[String], node: String, parent: Option[String],
+                     gb: Seq[String], gbNeeded: Set[String], product: Seq[Fx]): AggRef = {
+    val (local, byChild) = split(node, parent, product)
+    val kids = tree.adj(node).filter(c => !parent.contains(c))
+      .map(c => viewFor(scope, c, node, gbNeeded, byChild.getOrElse(c, Seq.empty))).sortBy(_.view)
+    val spec = specFor(scope, node, parent, gb, kids.map(_.view))
+    val children = kids.map(_.agg)
+    AggRef(spec.id, aggIndex.getOrElseUpdate((spec.id, local, children), {  // merge case (3)
       val a = ViewAgg(s"a${spec.aggs.size}", local, children); spec.aggs += a; a.name
-    })
+    }))
+  }
 
   /** Split a product into node-local factors and per-child-subtree factors. */
   private def split(node: String, parent: Option[String], product: Seq[Fx])
@@ -151,12 +161,7 @@ final class Planner(val tree: JoinTree, val merge: Boolean = true) {
                       gbNeeded: Set[String], product: Seq[Fx]): AggRef = {
     val jA    = tree.joinAttrs(child, parent)
     val extra = (gbNeeded intersect tree.subtreeAttrs(child, parent)) diff jA.toSet
-    val gb    = jA ++ extra.toSeq.sorted
-    val spec  = specFor(scope, child, Some(parent), gb)
-    val (local, byChild) = split(child, Some(parent), product)
-    val kids = tree.adj(child).filter(_ != parent)
-      .map(c => viewFor(scope, c, child, gbNeeded, byChild.getOrElse(c, Seq.empty)))
-    AggRef(spec.id, addAgg(spec, local, kids))
+    addAgg(scope, child, Some(parent), jA ++ extra.toSeq.sorted, gbNeeded, product)
   }
 
   /** Plan one query of the batch at the given root. */
@@ -164,16 +169,9 @@ final class Planner(val tree: JoinTree, val merge: Boolean = true) {
     val known = tree.allAttrs.toSet
     val missing = q.attrs.diff(known)
     require(missing.isEmpty, s"query ${q.name} references unknown attributes: $missing")
-    val scope   = Option.when(!merge)(q.name)
-    val gbCanon = q.groupBy.sorted
-    val spec    = specFor(scope, root, None, gbCanon)
-    val mapping = q.aggs.map { na =>
-      val (local, byChild) = split(root, None, na.product)
-      val kids = tree.adj(root)
-        .map(c => viewFor(scope, c, root, q.groupBy.toSet, byChild.getOrElse(c, Seq.empty)))
-      na.name -> addAgg(spec, local, kids)
-    }
-    outs += OutputSpec(q, spec.id, mapping)
+    val scope = Option.when(!merge)(q.name)
+    val refs  = q.aggs.map(na => addAgg(scope, root, None, q.groupBy.sorted, q.groupBy.toSet, na.product))
+    outs += OutputSpec(q, refs.head.view, q.aggs.map(_.name).zip(refs.map(_.agg)))
   }
 
   def plan(roots: Map[String, String]): Plan = Plan(tree, specs.toIndexedSeq, outs.toSeq, roots)

@@ -1,5 +1,7 @@
 package repro.tables
 
+import scala.util.Using
+
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.datasets.SchemaDataset
@@ -28,23 +30,24 @@ object Table3 {
       val (dfs, sizes) = Workloads.loadPersisted(spark, ds, sf)
       val rows = Workloads.batches(ds, dfs).flatMap { case (wl, batch) =>
         // LMFAO: full layered pipeline, timed end to end (plan + execute).
-        val lmfao = new LmfaoService(spark, ds.tree, dfs, sizes)
-        val (_, tL) = Timing.timed { Workloads.drain(lmfao.run(batch)) }
-        lmfao.close()
+        val (_, tL) = Using.resource(new LmfaoService(spark, ds.tree, dfs, sizes)) { lmfao =>
+          Timing.timed { Workloads.drain(lmfao.run(batch)) }
+        }
 
         // DBX proxy: per-query over a join materialized once (materialization
         // is part of its measured work).
         val cachedSvc = new FlatJoinService(spark, ds.tree, dfs, cached = true)
-        val (_, tCachedTotal) = Timing.timed {
-          cachedSvc.joined // forces materialization
-          Workloads.timeBaseline(cachedSvc, batch)
+        val (_, tCachedTotal) = Using.resource(cachedSvc) { svc =>
+          Timing.timed {
+            svc.joined // forces materialization
+            Workloads.timeBaseline(svc, batch)
+          }
         }
-        cachedSvc.close()
 
         // MonetDB proxy: per-query, join recomputed every time (sampled).
         val coldSvc = new FlatJoinService(spark, ds.tree, dfs, cached = false)
-        val (tCold, extrapolated) = Workloads.timeBaseline(coldSvc, batch, ColdSampleCap)
-        coldSvc.close()
+        val (tCold, extrapolated) =
+          Using.resource(coldSvc)(Workloads.timeBaseline(_, batch, ColdSampleCap))
 
         Seq(
           Row(ds.name, wl, "LMFAO", tL, 1.0, extrapolated = false),
@@ -65,8 +68,7 @@ object Table3 {
     val batch = Workloads.covarBatch(ds)
     def run(tag: String, merge: Boolean, multiRoot: Boolean): (String, Double) = {
       val svc = new LmfaoService(spark, ds.tree, dfs, sizes, merge = merge, multiRoot = multiRoot)
-      val (_, t) = Timing.timed { Workloads.drain(svc.run(batch)) }
-      svc.close()
+      val (_, t) = Using.resource(svc)(svc => Timing.timed { Workloads.drain(svc.run(batch)) })
       tag -> t
     }
     val rows = Seq(

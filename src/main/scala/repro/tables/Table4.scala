@@ -1,5 +1,7 @@
 package repro.tables
 
+import scala.util.Using
+
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 import repro.apps._
@@ -58,16 +60,16 @@ object Table4 {
       // table. (The fully unshared extreme is measured by the Figure 5
       // ablation in Table3Bench.)
       val (mAcdc, tAcdc) = Timing.timed {
-        val svc = new LmfaoService(spark, ds.tree, dfs, sizes, merge = true, multiRoot = false)
-        val m = LinearRegression.train(svc, cont, cat, ds.label)
-        svc.close(); m
+        Using.resource(new LmfaoService(spark, ds.tree, dfs, sizes, merge = true, multiRoot = false)) {
+          LinearRegression.train(_, cont, cat, ds.label)
+        }
       }
       rows += Row(ds.name, "LR", "AC/DC proxy", tAcdc, f"rmse=${mAcdc.rmse(joined)}%.3f")
 
       val (mLmfao, tLmfao) = Timing.timed {
-        val svc = new LmfaoService(spark, ds.tree, dfs, sizes)
-        val m = LinearRegression.train(svc, cont, cat, ds.label)
-        svc.close(); m
+        Using.resource(new LmfaoService(spark, ds.tree, dfs, sizes)) {
+          LinearRegression.train(_, cont, cat, ds.label)
+        }
       }
       rows += Row(ds.name, "LR", "LMFAO", tLmfao, f"rmse=${mLmfao.rmse(joined)}%.3f")
 
@@ -77,27 +79,27 @@ object Table4 {
       val depth = Workloads.treeDepth
 
       val (t1Flat, tFlat1) = Timing.timed {
-        val flat = new FlatJoinService(spark, ds.tree, dfs, cached = true)
-        val t = DecisionTree.train(flat, contFeats, cat, ds.label, classification = false,
-          thr, DecisionTree.Params(maxDepth = 1, minSplit = 1000))
-        flat.close(); t
+        Using.resource(new FlatJoinService(spark, ds.tree, dfs, cached = true)) {
+          DecisionTree.train(_, contFeats, cat, ds.label, classification = false,
+            thr, DecisionTree.Params(maxDepth = 1, minSplit = 1000))
+        }
       }
       rows += Row(ds.name, "RT", "Flat CART 1 node (TF proxy)", tFlat1, s"nodes=${t1Flat.size}")
 
       val (tFlatTree, tFlatFull) = Timing.timed {
-        val flat = new FlatJoinService(spark, ds.tree, dfs, cached = true)
-        val t = DecisionTree.train(flat, contFeats, cat, ds.label, classification = false,
-          thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
-        flat.close(); t
+        Using.resource(new FlatJoinService(spark, ds.tree, dfs, cached = true)) {
+          DecisionTree.train(_, contFeats, cat, ds.label, classification = false,
+            thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
+        }
       }
       rows += Row(ds.name, "RT", s"Flat CART d=$depth (MADlib proxy)", tFlatFull,
         f"nodes=${tFlatTree.size} rmse=${tFlatTree.rmse(joined)}%.3f")
 
       val (tLmfaoTree, tLmfaoFull) = Timing.timed {
-        val svc = new LmfaoService(spark, ds.tree, dfs, sizes)
-        val t = DecisionTree.train(svc, contFeats, cat, ds.label, classification = false,
-          thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
-        svc.close(); t
+        Using.resource(new LmfaoService(spark, ds.tree, dfs, sizes)) {
+          DecisionTree.train(_, contFeats, cat, ds.label, classification = false,
+            thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
+        }
       }
       rows += Row(ds.name, "RT", s"LMFAO CART d=$depth", tLmfaoFull,
         f"nodes=${tLmfaoTree.size} rmse=${tLmfaoTree.rmse(joined)}%.3f")

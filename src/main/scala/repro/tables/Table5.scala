@@ -1,5 +1,7 @@
 package repro.tables
 
+import scala.util.Using
+
 import org.apache.spark.sql.SparkSession
 import repro.apps._
 import repro.core._
@@ -27,27 +29,27 @@ object Table5 {
     val depth = Workloads.treeDepth
 
     val (_, tFlat1) = Timing.timed {
-      val flat = new FlatJoinService(spark, ds.tree, dfs, cached = true)
-      DecisionTree.train(flat, cont, cat, ds.classLabel, classification = true,
-        thr, DecisionTree.Params(maxDepth = 1, minSplit = 1000))
-      flat.close()
+      Using.resource(new FlatJoinService(spark, ds.tree, dfs, cached = true)) {
+        DecisionTree.train(_, cont, cat, ds.classLabel, classification = true,
+          thr, DecisionTree.Params(maxDepth = 1, minSplit = 1000))
+      }
     }
     rows += Row("CT", "Flat CART 1 node (TF proxy)", tFlat1)
 
     val (tFlatTree, tFlatFull) = Timing.timed {
-      val flat = new FlatJoinService(spark, ds.tree, dfs, cached = true)
-      val t = DecisionTree.train(flat, cont, cat, ds.classLabel, classification = true,
-        thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
-      flat.close(); t
+      Using.resource(new FlatJoinService(spark, ds.tree, dfs, cached = true)) {
+        DecisionTree.train(_, cont, cat, ds.classLabel, classification = true,
+          thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
+      }
     }
     rows += Row("CT", s"Flat CART d=$depth (MADlib proxy)", tFlatFull,
       f"nodes=${tFlatTree.size} acc=${tFlatTree.accuracy(joined)}%.4f")
 
     val (tLmfaoTree, tLmfaoFull) = Timing.timed {
-      val svc = new LmfaoService(spark, ds.tree, dfs, sizes)
-      val t = DecisionTree.train(svc, cont, cat, ds.classLabel, classification = true,
-        thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
-      svc.close(); t
+      Using.resource(new LmfaoService(spark, ds.tree, dfs, sizes)) {
+        DecisionTree.train(_, cont, cat, ds.classLabel, classification = true,
+          thr, DecisionTree.Params(maxDepth = depth, minSplit = 1000))
+      }
     }
     rows += Row("CT", s"LMFAO CART d=$depth", tLmfaoFull,
       f"nodes=${tLmfaoTree.size} acc=${tLmfaoTree.accuracy(joined)}%.4f")

@@ -114,6 +114,15 @@ class LinearRegressionSpec extends SparkSpec {
     shuffled.unpersist()
   }
 
+  test("SGD epoch over one partition and one batch is one gradient step from zero") {
+    import spark.implicits._
+    val df = Seq((1.0, 2.0), (2.0, 3.0), (3.0, 5.0)).toDF("x", "y").coalesce(1)
+    val m  = LinearRegression.sgdOneEpoch(df, Seq("x", "y"), "y", batchSize = 3, step0 = 0.1)
+    // θ = 0 − step · (1/n) Σ (θ·x − y) x = 0.1 · (Σ y, Σ x·y) / 3.
+    assert(m.features == Seq(CovarMatrix.FeatureIdx.Intercept, CovarMatrix.FeatureIdx.Cont("x")))
+    assert(m.theta.toSeq == Seq(0.1 * 10.0 / 3, 0.1 * 23.0 / 3))
+  }
+
   test("prediction column evaluates the dot product") {
     import CovarMatrix.FeatureIdx._
     val m = LinearRegression.Model(Seq(Intercept, Cont("x"), Cat("k", "a")), Array(1.0, 2.0, 10.0), "y")

@@ -145,27 +145,24 @@ class ExecutorSpec extends SparkSpec {
     svc.close()
   }
 
-  test("a hand-built plan whose view mixes bodies is rejected") {
-    // Merge case (1) of Example 3.4: one output view at A whose two
-    // aggregates join different incoming views. The planner cannot produce
-    // it with unary factors (PlannerSpec), and the executor computes each
-    // view as one pass over one body, so the plan must not be built.
-    val t = JoinTree(
-      Seq(Relation("A", Seq("k", "x")), Relation("B", Seq("k", "y")), Relation("C", Seq("k", "z"))),
-      Seq("A" -> "B", "A" -> "C"))
-    val vB = new ViewSpec(0, "B", Some("A"), Seq("k"))
-    vB.aggs += ViewAgg("a0", Seq(Att("y")), Seq.empty)          // SUM(y) per k
-    val vC = new ViewSpec(1, "C", Some("A"), Seq("k"))
-    vC.aggs += ViewAgg("a0", Seq(Att("z")), Seq.empty)          // SUM(z) per k
-    val out = new ViewSpec(2, "A", None, Seq("k"))
-    out.aggs += ViewAgg("a0", Seq(Att("x")), Seq(AggRef(0, "a0"))) // body: A ⋈ V_B
-    out.aggs += ViewAgg("a1", Seq(Att("x")), Seq(AggRef(1, "a0"))) // body: A ⋈ V_C
-    assert(out.aggs.map(_.signature).distinct.size == 2)
-    val q = AggQuery("w", Seq("k"), Seq(NamedAgg("s1", Nil), NamedAgg("s2", Nil)))
-    intercept[IllegalArgumentException] {
-      Plan(t, IndexedSeq(vB, vC, out),
-        Seq(OutputSpec(q, 2, Seq("s1" -> "a0", "s2" -> "a1"))), Map("w" -> "A"))
+  test("a hand-built plan out of dependency order is rejected") {
+    // The output view at A reads V_B, so V_B must be planned before it.
+    val t = JoinTree(Seq(Relation("A", Seq("k", "x")), Relation("B", Seq("k", "y"))), Seq("A" -> "B"))
+    def vB(id: Int) = {
+      val v = new ViewSpec(id, "B", Some("A"), Seq("k"), Seq.empty)
+      v.aggs += ViewAgg("a0", Seq(Att("y")), Seq.empty); v
     }
+    def vA(id: Int, body: Seq[Int], children: Seq[String]) = {
+      val v = new ViewSpec(id, "A", None, Seq("k"), body)
+      v.aggs += ViewAgg("a0", Seq(Att("x")), children); v
+    }
+    val q = AggQuery("w", Seq("k"), Seq(NamedAgg("s", Nil)))
+    def plan(views: ViewSpec*) = Plan(t, views.toIndexedSeq,
+      Seq(OutputSpec(q, views.indexWhere(_.from == "A"), Seq("s" -> "a0"))), Map("w" -> "A"))
+    assert(plan(vB(0), vA(1, Seq(0), Seq("a0"))).depths == Seq(0, 1))
+    intercept[IllegalArgumentException](plan(vA(0, Seq(1), Seq("a0")), vB(1))) // body planned after
+    intercept[IllegalArgumentException](plan(vB(1), vA(0, Seq(1), Seq("a0"))))   // ids are not indices
+    intercept[IllegalArgumentException](plan(vB(0), vA(1, Seq(0), Seq.empty)))   // no child aggregate
   }
 
   /** Runs `body` and returns its result with the number of Spark jobs it
@@ -214,10 +211,10 @@ class ExecutorSpec extends SparkSpec {
     val dfs = Map(
       "A" -> Seq((1, 2), (2, 3)).toDF("k", "x"),
       "B" -> Seq((1, 10), (1, 20), (2, 30)).toDF("k", "y"))
-    val vB = new ViewSpec(0, "B", Some("A"), Seq("k"))
+    val vB = new ViewSpec(0, "B", Some("A"), Seq("k"), Seq.empty)
     vB.aggs += ViewAgg("a0", Seq(Att("y")), Seq.empty)
-    val vA = new ViewSpec(1, "A", None, Seq("k"))
-    vA.aggs += ViewAgg("a0", Seq(Att("x")), Seq(AggRef(0, "a0")))
+    val vA = new ViewSpec(1, "A", None, Seq("k"), Seq(0))
+    vA.aggs += ViewAgg("a0", Seq(Att("x")), Seq("a0"))
     val qA = AggQuery("wa", Seq("k"), Seq(NamedAgg("s", Nil)))
     val qB = AggQuery("wb", Seq("k"), Seq(NamedAgg("s", Nil)))
     val plan = Plan(t, IndexedSeq(vB, vA),

@@ -51,7 +51,7 @@ class PlannerSpec extends AnyFunSuite {
     // Transactions forwards Oil's aggregate without local factors.
     val txView = plan.views.find(v => v.from == "Transactions").get
     assert(txView.aggs.head.local.isEmpty)
-    assert(txView.aggs.head.children.map(_.view).contains(oilView.id))
+    assert(txView.body.contains(oilView.id))
   }
 
   test("n-ary factors spanning subtrees are rejected") {
@@ -99,17 +99,16 @@ class PlannerSpec extends AnyFunSuite {
     // this reproduction, bodies inside one (edge, group-by) view are always
     // identical, so case-1 merging can never trigger from the planner: a
     // query grouping by city legitimately refines the view's group-by and
-    // must stay a separate view. (ExecutorSpec checks that a hand-built plan
-    // with such a view is rejected.)
+    // must stay a separate view. (A view has one body, `ViewSpec.body`, so a
+    // view over two bodies cannot even be built.)
     val q1 = AggQuery("q1", Seq.empty, Seq(NamedAgg("a", Seq(Att("oilprize")))))
     val q3 = AggQuery("q3", Seq("city"), Seq(NamedAgg("a", Seq(Att("txns")))))
     val plan = Planner.planBatch(Favorita.tree, Seq(q1, q3), forcedRoot = Some("Sales"))
     val tx = plan.views.filter(v => v.from == "Transactions" && v.to.contains("Sales"))
     assert(tx.size == 2)
     assert(tx.map(_.groupBy.toSet).toSet == Set(Set("date", "store"), Set("date", "store", "city")))
-    // Within every merged view, all aggregates share one body signature.
     for (v <- plan.views)
-      assert(v.aggs.map(_.signature).distinct.size <= 1, v.toString)
+      assert(v.body.forall(_ < v.id), v.toString)
   }
 
   test("unmerged planning (merge=false) creates one view per query per edge") {
@@ -128,7 +127,7 @@ class PlannerSpec extends AnyFunSuite {
     assert(perQuery.views.filter(_.from == "Oil").map(_.aggs.size).sorted == Seq(1, 2))
   }
 
-  test("every view has one body, merged or not, on every application batch") {
+  test("every body lists only earlier views, merged or not, on every application batch") {
     import repro.apps.{CovarMatrix, DataCube, DecisionTree, MutualInformation}
     import repro.datasets.{SchemaDataset, TpcDs, Yelp}
     for (ds <- Seq[SchemaDataset](Retailer, Favorita, Yelp, TpcDs)) {
@@ -151,8 +150,8 @@ class PlannerSpec extends AnyFunSuite {
       for ((name, batch) <- batches; merge <- Seq(true, false)) {
         val plan = Planner.planBatch(ds.tree, batch, merge = merge)
         for (v <- plan.views) {
-          val bodies = v.aggs.map(_.signature).distinct.size
-          assert(bodies == 1, s"${ds.name} $name merge=$merge: $v")
+          assert(v.body.forall(_ < v.id), s"${ds.name} $name merge=$merge: $v reads ${v.body}")
+          assert(v.aggs.forall(_.children.size == v.body.size), s"${ds.name} $name merge=$merge: $v")
         }
       }
     }
@@ -270,8 +269,8 @@ class PlannerSpec extends AnyFunSuite {
       countQ("d", "category" /* Yelp-free: use Favorita attr */))
     val plan = Planner.planBatch(Favorita.tree,
       qs.filter(_.attrs.subsetOf(Favorita.tree.allAttrs.toSet)))
-    for (v <- plan.views; a <- v.aggs; c <- a.children)
-      assert(plan.depths(c.view) < plan.depths(v.id), s"view ${v.id} depends on ${c.view}")
+    for (v <- plan.views; c <- v.body)
+      assert(plan.depths(c) < plan.depths(v.id), s"view ${v.id} depends on $c")
   }
 
   test("groups partition the views") {
