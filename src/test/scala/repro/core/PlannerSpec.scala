@@ -127,7 +127,9 @@ class PlannerSpec extends AnyFunSuite {
     assert(perQuery.views.filter(_.from == "Oil").map(_.aggs.size).sorted == Seq(1, 2))
   }
 
-  test("every body lists only earlier views, merged or not, on every application batch") {
+  test("every view has one body, merged or not, on every application batch") {
+    // One body per view: each aggregate names one child per body view, and
+    // the body lists only views planned before this one.
     import repro.apps.{CovarMatrix, DataCube, DecisionTree, MutualInformation}
     import repro.datasets.{SchemaDataset, TpcDs, Yelp}
     for (ds <- Seq[SchemaDataset](Retailer, Favorita, Yelp, TpcDs)) {
