@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 /** Shared SparkSession builder for the spark-submit entrypoints. */
 object JobSession {
-  def build(name: String): SparkSession = SparkSession.builder
+  def build(name: String): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName(name)
     // Bench-style engine configuration (see bench.BenchBase): broadcast on,

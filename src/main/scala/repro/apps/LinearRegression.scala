@@ -60,15 +60,17 @@ object LinearRegression {
   /** BGD with Armijo + BB over the covar matrix (the paper's optimizer).
     *
     * The raw second-moment matrix mixes attribute scales spanning several
-    * orders of magnitude, so we precondition with the Jacobi diagonal
-    * (equivalent to per-feature rescaling; the recovered parameters are
-    * identical). The ridge term applies to the *rescaled* parameters, which
-    * matches training on normalized features as every practical system does.
+    * orders of magnitude, so each feature is rescaled by its root mean
+    * square `sqrt(A_ii / N)` (a Jacobi preconditioner). The ridge term
+    * applies to the *rescaled* parameters, which matches training on
+    * normalized features as every practical system does; the scale does not
+    * grow with N, so the ridge term keeps its weight against the 1/N data
+    * term at any dataset size.
     */
   def trainBgd(covar: Covar, label: String, lambda: Double = 1e-6,
                maxIter: Int = 5000): (Model, Int) = {
     val (features, a, b, yy, n) = systemFrom(covar, label)
-    val d = features.indices.map(i => math.sqrt(math.max(a(i)(i), 1e-300))).toArray
+    val d = features.indices.map(i => math.sqrt(math.max(a(i)(i) / n, 1e-300))).toArray
     val aS = Array.tabulate(features.size, features.size)((i, j) => a(i)(j) / (d(i) * d(j)))
     val bS = Array.tabulate(features.size)(i => b(i) / d(i))
     val (thetaS, iters) = LinAlg.bgdRidge(aS, bS, yy, n, lambda, maxIter)

@@ -36,16 +36,23 @@ final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[D
   * is children first:
   *
   *  - each distinct *body* — the relation natural-joined with one set of
-  *    incoming views — is built once and cached when more than one view is
-  *    computed over it: the Spark analogue of the paper's single shared trie
-  *    scan over the common relation;
+  *    incoming views — is built once;
   *  - every view has one body ([[ViewSpec.body]]) and is one multi-aggregate
   *    `groupBy().agg(...)` pass over it, so all its aggregates share the scan
   *    (Catalyst whole-stage codegen compiles the pass to specialized
   *    bytecode — the Compilation layer analogue).
   *
-  * Shared views and bases are persisted but not forced: the first job that
-  * reads one fills Spark's cache, and later jobs read the cached blocks.
+  * One rule decides what is cached: a frame is persisted if and only if
+  * more than one frame or output reads it. A body's readers are the views
+  * computed over it (a body with no views is the input relation itself and
+  * is never persisted); a view's readers are the distinct bodies that join
+  * it plus each output that selects it. A body read by several views is the
+  * Spark analogue of the paper's single shared trie scan over the common
+  * relation; a frame with one reader stays lazy and fuses into that
+  * reader's Catalyst plan (the paper's code inlining).
+  *
+  * Persisted frames are not forced: the first job that reads one fills
+  * Spark's cache, and later jobs read the cached blocks.
   * Given the `previous` result, a frame to persist whose plan one of
   * `previous`'s frames already caches (`sameSemantics`, the `sameResult`
   * test Spark's cache lookup uses) is adopted instead: the new frame reads
@@ -59,7 +66,7 @@ final class ExecResult(val outputs: Map[String, DataFrame], val persisted: Seq[D
 final class Executor(dfs: Map[String, DataFrame]) {
 
   /** Natural join on the common column names (cross join if none). */
-  def natJoin(a: DataFrame, b: DataFrame): DataFrame = {
+  private def natJoin(a: DataFrame, b: DataFrame): DataFrame = {
     val common = a.columns.toSeq.intersect(b.columns.toSeq)
     if (common.isEmpty) a.crossJoin(b) else a.join(b, common, "inner")
   }
@@ -72,21 +79,11 @@ final class Executor(dfs: Map[String, DataFrame]) {
   }
 
   def run(plan: Plan, previous: Option[ExecResult] = None): ExecResult = {
-    // Sharing analysis: a view consumed by more than one other view (or by a
-    // consumer *and* the application) is persisted — that is exactly the
-    // computation LMFAO shares. Single-consumer views stay lazy and fuse
-    // into their consumer's Catalyst plan (the paper's code inlining).
-    val consumerCount: Map[Int, Int] =
-      plan.views.flatMap(_.body).groupBy(identity).view.mapValues(_.size).toMap
-    val outputUse: Map[Int, Int] =
-      plan.outputs.groupBy(_.view).view.mapValues(_ => 1).toMap
-    def shouldPersist(id: Int): Boolean =
-      consumerCount.getOrElse(id, 0) + outputUse.getOrElse(id, 0) > 1
-
-    // Body usage counts across the whole plan: bases of more than one view
-    // get persisted (the shared scan).
+    // Readers per frame, for the caching rule of the class comment.
     val bodyUse: Map[(String, Seq[Int]), Int] =
-      plan.views.groupBy(v => (v.from, v.body)).view.mapValues(_.size).toMap
+      plan.views.groupMapReduce(v => (v.from, v.body))(_ => 1)(_ + _)
+    val viewUse: Map[Int, Int] =
+      (bodyUse.keys.toSeq.flatMap(_._2) ++ plan.outputs.map(_.view)).groupMapReduce(identity)(_ => 1)(_ + _)
 
     // Spark's cache is keyed by plan: a frame whose plan another live result
     // already cached reads that entry, and only this run's own entries are
@@ -114,7 +111,7 @@ final class Executor(dfs: Map[String, DataFrame]) {
     for (v <- plan.views) {
       val aggCols = v.aggs.toSeq.map(a => sum(productCol(v, a)).as(aggColName(v.id, a.name)))
       val df = baseFor(v.from, v.body).groupBy(v.groupBy.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
-      views += (if (shouldPersist(v.id)) persist(df) else df)
+      views += (if (viewUse.getOrElse(v.id, 0) > 1) persist(df) else df)
     }
 
     val outputs = plan.outputs.map { o =>

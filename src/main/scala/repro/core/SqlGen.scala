@@ -7,8 +7,8 @@ package repro.core
 object SqlGen {
 
   /** `FROM r1 NATURAL JOIN r2 ...` in BFS order of the join tree. */
-  def fromClause(tree: JoinTree, root: Option[String] = None): String =
-    tree.bfsOrder(root.getOrElse(tree.relations.head.name)).mkString(" NATURAL JOIN ")
+  def fromClause(tree: JoinTree): String =
+    tree.bfsOrder(tree.relations.head.name).mkString(" NATURAL JOIN ")
 
   /** Full SELECT for one query of the batch. Output column names match the
     * query's group-by attributes and aggregate names exactly, as the oracle

@@ -13,8 +13,9 @@ import repro.core.JoinTree
   * preserve what the workloads exercise: schema shape (star/snowflake, fact +
   * dimensions, Yelp's many-to-many blowup), attribute classes (categorical vs
   * continuous), and key-referential structure. All numeric attributes are
-  * *integers* so double sums are exact and the DuckDB oracle can compare
-  * byte-strict.
+  * *integers*, so double sums differ across engines only by summation-order
+  * rounding, which the DuckDB oracle absorbs by comparing doubles to 12
+  * significant digits.
   */
 trait SchemaDataset {
   def name: String

@@ -46,8 +46,9 @@ class LinearRegressionSpec extends SparkSpec {
     }
 
     test(s"${ds.name}: BGD matches the closed form (paper's accuracy claim)") {
-      // λ=0 so the Jacobi preconditioning in trainBgd preserves the optimum
-      // exactly and both optimizers target the same OLS solution.
+      // λ=0, so both optimizers minimize the same objective: at λ > 0 the
+      // ridge term of trainBgd acts on rescaled parameters, the closed
+      // form's on raw ones. The default λ is checked at large N below.
       val cont = contFeats(ds, 4)
       val svc   = new LmfaoService(spark, ds.tree, dfs)
       val covar = CovarMatrix.compute(svc, cont, Seq.empty)
@@ -59,6 +60,29 @@ class LinearRegressionSpec extends SparkSpec {
       val rb = bgd.rmse(joined)
       assert(math.abs(rc - rb) < 1e-3 * math.max(1.0, rc), s"closed=$rc bgd=$rb")
     }
+  }
+
+  test("BGD at the default ridge weight matches the closed form at N = 10^6") {
+    // Moments of y = 3 + 2x + e over N rows, with E[x] = 50, Var[x] = 100,
+    // Var[e] = 4 and e independent of x. The ridge term must not grow with N
+    // against the 1/N data term. The two ridge terms differ (rescaled vs raw
+    // parameters), so the models are compared by in-sample rmse, as Table 4
+    // compares them.
+    val n = 1e6
+    val covar = CovarMatrix.Covar(Seq("y", "x"), Seq.empty, n,
+      Map("x" -> 50 * n, "y" -> 103 * n),
+      Map(("x", "x") -> 2600 * n, ("x", "y") -> 5350 * n, ("y", "y") -> 11013 * n),
+      Map.empty, Map.empty, Map.empty)
+    val closed = LinearRegression.trainClosedForm(covar, "y")
+    val (bgd, iters) = LinearRegression.trainBgd(covar, "y")
+    assert(iters < 5000)
+    assert(closed.theta.zip(Seq(3.0, 2.0)).forall { case (t, e) => math.abs(t - e) < 1e-4 * e },
+      s"closed=${closed.theta.toSeq}")
+    assert(bgd.features == closed.features)
+    val (_, a, b, yy, _) = LinearRegression.systemFrom(covar, "y")
+    def rmse(t: Array[Double]) = math.sqrt((LinAlg.dot(t, LinAlg.matVec(a, t)) - 2 * LinAlg.dot(b, t) + yy) / n)
+    val (rb, rc) = (rmse(bgd.theta), rmse(closed.theta))
+    assert(math.abs(rb - rc) < 1e-3 * rc, s"bgd=$rb closed=$rc")
   }
 
   test("Favorita: one-hot categorical model beats the continuous-only model in-sample") {

@@ -191,9 +191,32 @@ class ExecutorSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
+  /** The tree A(k, x) — B(k, y) of the hand-built plans below, with
+    * V_B = SUM(y) GROUP BY k as view 0: 30 for k = 1 and for k = 2.
+    */
+  object HandBuilt {
+    val tree = JoinTree(Seq(Relation("A", Seq("k", "x")), Relation("B", Seq("k", "y"))), Seq("A" -> "B"))
+    def dfs = {
+      import spark.implicits._
+      Map("A" -> Seq((1, 2), (2, 3)).toDF("k", "x"), "B" -> Seq((1, 10), (1, 20), (2, 30)).toDF("k", "y"))
+    }
+    def vB: ViewSpec = {
+      val v = new ViewSpec(0, "B", Some("A"), Seq("k"), Seq.empty)
+      v.aggs += ViewAgg("a0", Seq(Att("y")), Seq.empty); v
+    }
+    /** A root view at A over the body A ⋈ V_B. */
+    def vA(id: Int, groupBy: String, local: Seq[Fx]): ViewSpec = {
+      val v = new ViewSpec(id, "A", None, Seq(groupBy), Seq(0))
+      v.aggs += ViewAgg("a0", local, Seq("a0")); v
+    }
+    def output(name: String, groupBy: String, view: Int): OutputSpec =
+      OutputSpec(AggQuery(name, Seq(groupBy), Seq(NamedAgg("s", Nil))), view, Seq("s" -> "a0"))
+    def rows(res: ExecResult, q: String): Seq[(Int, Double)] =
+      res.outputs(q).collect().map(r => (r.getInt(0), r.getDouble(1))).sortBy(_._1).toSeq
+  }
+
   test("run starts no Spark job; shared views stay persisted until close()") {
     import org.apache.spark.storage.StorageLevel
-    import spark.implicits._
     // A planned batch over a real schema: building it must not start a job.
     val ds   = Retailer
     val dfs0 = TestData.dfs(ds, spark)
@@ -207,30 +230,42 @@ class ExecutorSpec extends SparkSpec {
 
     // A hand-built plan with exactly one shared view: V_B feeds the view at A
     // and is also an output.
-    val t = JoinTree(Seq(Relation("A", Seq("k", "x")), Relation("B", Seq("k", "y"))), Seq("A" -> "B"))
-    val dfs = Map(
-      "A" -> Seq((1, 2), (2, 3)).toDF("k", "x"),
-      "B" -> Seq((1, 10), (1, 20), (2, 30)).toDF("k", "y"))
-    val vB = new ViewSpec(0, "B", Some("A"), Seq("k"), Seq.empty)
-    vB.aggs += ViewAgg("a0", Seq(Att("y")), Seq.empty)
-    val vA = new ViewSpec(1, "A", None, Seq("k"), Seq(0))
-    vA.aggs += ViewAgg("a0", Seq(Att("x")), Seq("a0"))
-    val qA = AggQuery("wa", Seq("k"), Seq(NamedAgg("s", Nil)))
-    val qB = AggQuery("wb", Seq("k"), Seq(NamedAgg("s", Nil)))
-    val plan = Plan(t, IndexedSeq(vB, vA),
-      Seq(OutputSpec(qA, 1, Seq("s" -> "a0")), OutputSpec(qB, 0, Seq("s" -> "a0"))),
-      Map("wa" -> "A", "wb" -> "B"))
+    import HandBuilt._
+    val plan = Plan(tree, IndexedSeq(vB, vA(1, "k", Seq(Att("x")))),
+      Seq(output("wa", "k", 1), output("wb", "k", 0)), Map("wa" -> "A", "wb" -> "B"))
     val (res, jobs) = jobsStartedBy(new Executor(dfs).run(plan))
     assert(jobs == 0, s"run started $jobs Spark jobs")
     assert(res.persisted.map(_.columns.toSeq) == Seq(Seq("k", "v0_a0")))
     val shared = res.persisted.head
     assert(shared.storageLevel != StorageLevel.NONE)
-    def rows(q: String) = res.outputs(q).collect().map(r => (r.getInt(0), r.getDouble(1))).sortBy(_._1).toSeq
-    assert(rows("wb") == Seq((1, 30.0), (2, 30.0)))
-    assert(rows("wa") == Seq((1, 60.0), (2, 90.0)))
+    assert(rows(res, "wb") == Seq((1, 30.0), (2, 30.0)))
+    assert(rows(res, "wa") == Seq((1, 60.0), (2, 90.0)))
     assert(shared.storageLevel != StorageLevel.NONE)
     res.close()
     assert(shared.storageLevel == StorageLevel.NONE)
+  }
+
+  test("a body two views aggregate is cached, not the view that only it joins") {
+    import HandBuilt._
+    // V_B feeds two root views at A, so both read the one body A ⋈ V_B.
+    val plan = Plan(tree, IndexedSeq(vB, vA(1, "k", Seq(Att("x"))), vA(2, "x", Seq.empty)),
+      Seq(output("wk", "k", 1), output("wx", "x", 2)), Map("wk" -> "A", "wx" -> "A"))
+    val res = new Executor(dfs).run(plan)
+    assert(res.persisted.map(_.columns.toSeq) == Seq(Seq("k", "x", "v0_a0")))
+    assert(rows(res, "wk") == Seq((1, 60.0), (2, 90.0)))
+    assert(rows(res, "wx") == Seq((2, 30.0), (3, 30.0)))
+    res.close()
+  }
+
+  test("a view two outputs select is cached") {
+    import HandBuilt._
+    val plan = Plan(tree, IndexedSeq(vB, vA(1, "k", Seq(Att("x")))),
+      Seq(output("w1", "k", 1), output("w2", "k", 1)), Map("w1" -> "A", "w2" -> "A"))
+    val res = new Executor(dfs).run(plan)
+    assert(res.persisted.map(_.columns.toSeq) == Seq(Seq("k", "v1_a0")))
+    assert(rows(res, "w1") == Seq((1, 60.0), (2, 90.0)))
+    assert(rows(res, "w2") == rows(res, "w1"))
+    res.close()
   }
 
   test("close() releases only what its own run cached") {
@@ -252,15 +287,27 @@ class ExecutorSpec extends SparkSpec {
   def rowsOf(df: org.apache.spark.sql.DataFrame): Seq[String] =
     df.collect().map(_.toSeq.map(String.valueOf).mkString("|")).sorted.toSeq
 
-  /** The split of the CART level tests below. Each dataset's other
-    * persisted views carry no condition on it; on Retailer every other
-    * relation's conditions reach both persisted views.
+  /** The splits of the CART level tests below, and whether the level batch
+    * adopts a frame the root's batch cached. A split reaches every frame
+    * whose subtree holds its relation, except a body over that relation
+    * itself (its condition is a factor above the body). Left unreached: on
+    * Retailer the one cached frame, the Weather body (`maxtemp` is on
+    * Weather); on Favorita the three cached views keyed by date and item,
+    * while `txns` reaches the Sales body; on Yelp the one cached frame, the
+    * Business body (`b_stars` is on Business); on TPC-DS the views keyed by
+    * store, promotion and customer, while `d_year` reaches the item body.
+    * Yelp's `useful` is on Review, whose view joins the Business body, so it
+    * leaves no frame unreached.
     */
-  val splitAttr: Map[SchemaDataset, String] =
-    Map(Retailer -> "maxtemp", Favorita -> "txns", Yelp -> "useful", TpcDs -> "d_year")
+  val levelSplits: Seq[(SchemaDataset, String, Boolean)] = Seq(
+    (Retailer, "maxtemp", true), (Favorita, "txns", true), (Yelp, "b_stars", true), (TpcDs, "d_year", true),
+    (Yelp, "useful", false))
 
-  for (ds <- datasets) {
-    test(s"${ds.name}: a CART level batch adopts the previous level's cached views") {
+  for ((ds, a, adopts) <- levelSplits) {
+    val name =
+      if (adopts) s"${ds.name}: a CART level batch adopts the previous level's cached views"
+      else s"${ds.name}: a CART level batch split on $a releases every frame the previous level cached"
+    test(name) {
       import org.apache.spark.storage.StorageLevel
       import repro.apps.DecisionTree
       val dfs   = TestData.dfs(ds, spark)
@@ -274,7 +321,6 @@ class ExecutorSpec extends SparkSpec {
         DecisionTree.levelBatch(nodes, cont, cat, ds.label, classification = false, thr, depth)
       // Depth 0 is the root alone; depth 1 its two children under a real
       // threshold, as CART expands them.
-      val a      = splitAttr(ds)
       assert(cont.contains(a))
       val t      = thr(a)(thr(a).size / 2).toString
       val batch2 = level(Seq(1 -> Seq(Ind(a, "<=", t)), 2 -> Seq(Ind(a, ">", t))), 1)
@@ -288,7 +334,8 @@ class ExecutorSpec extends SparkSpec {
       assert(jobs == 0, s"run started $jobs Spark jobs")
       val frames2 = res2.persisted
       val adopted = frames1.filter(f => frames2.exists(_ eq f))
-      assert(adopted.nonEmpty, s"none of ${frames1.size} frames adopted")
+      assert(frames1.nonEmpty)
+      assert(adopted.nonEmpty == adopts, s"${adopted.size} of ${frames1.size} frames adopted")
       assert(frames1.filterNot(f => adopted.exists(_ eq f)).forall(_.storageLevel == StorageLevel.NONE))
       assert(frames2.forall(_.storageLevel != StorageLevel.NONE))
 

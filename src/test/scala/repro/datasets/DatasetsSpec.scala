@@ -52,7 +52,7 @@ class DatasetsSpec extends SparkSpec {
 
     test(s"${ds.name}: no nulls in any relation") {
       for ((n, df) <- dfs) {
-        val nulls = df.select(df.columns.map(c => sum(when(col(c).isNull, 1).otherwise(0)).as(c)): _*)
+        val nulls = df.select(df.columns.toIndexedSeq.map(c => sum(when(col(c).isNull, 1).otherwise(0)).as(c)): _*)
           .collect()(0).toSeq.map(_.asInstanceOf[Long]).sum
         assert(nulls == 0L, s"relation $n has nulls")
       }
